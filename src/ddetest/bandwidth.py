@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, SupportError
+from .errors import DataError, DegenerateDataError, InvalidParameterError, SupportError
 from .families import FamilyId, FittedModel, Support, get_family, null_kurtosis
 from .quadrature import Scale
 
@@ -139,7 +139,7 @@ def select_bandwidth(
     regime = classify_regime(fam.family_id, data)
     try:
         kappa0 = null_kurtosis(fitted)
-    except Exception:
+    except InvalidParameterError:
         # no null-implied kurtosis: fall back to neutral smoothing
         warnings.warn(
             f"no null-implied kurtosis for {fam.family_id.value}; using c = 1",

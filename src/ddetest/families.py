@@ -529,35 +529,80 @@ def _fit_exponential(data):
     return (float(np.mean(data)),)
 
 
-def _newton_gamma_shape(s: float) -> float:
-    """Solve ln(a) - psi(a) = s by Newton's method.
+_SERIES_FROM = 20.0  # gamma shape above which asymptotic series replace scipy
 
-    Initialized at the standard moment-based approximation; the equation has
-    a unique root for s > 0 and the iteration is monotone near it.
+
+def _shape_gap(k):
+    """(ln k - psi(k), its derivative in ln k), by psi's asymptotic series for
+    large k, where the direct difference ~ 1/(2k) cancels catastrophically."""
+    big = np.maximum(k, _SERIES_FROM)
+    r = 1.0 / (big * big)
+    gap = (0.5 + (1/12 - r * (1/120 - r * (1/252 - r * (1/240 - r / 132)))) / big) / big
+    dgap = -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / big) / big
+    small = k < _SERIES_FROM
+    return (np.where(small, np.log(k) - digamma(k), gap),
+            np.where(small, 1.0 - k * trigamma(k), dgap))
+
+
+def _shape_free_loglik(k):
+    """k ln k - k - ln Gamma(k), by Stirling's series for large k."""
+    big = np.maximum(k, _SERIES_FROM)
+    r = 1.0 / (big * big)
+    series = (0.5 * np.log(big / (2.0 * math.pi))
+              - (1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r / 1188)))) / big)
+    return np.where(k < _SERIES_FROM, k * np.log(k) - k - log_gamma(k), series)
+
+
+def _gamma_shape(s):
+    """Solve ln k - psi(k) = s > 0 elementwise: the gamma MLE shape.
+
+    Newton in ln k on ln(ln k - psi(k)) = ln s, which is close to linear at
+    both ends; once every residual is below 1e-10 one last step is taken.
     """
-    a = (3.0 - s + math.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s)
-    for _ in range(100):
-        g = math.log(a) - float(digamma(a)) - s
-        gprime = 1.0 / a - float(trigamma(a))
-        step = g / gprime
-        a_next = a - step
-        if a_next <= 0.0:
-            a_next = a / 2.0
-        if abs(a_next - a) <= 1e-12 * max(1.0, abs(a_next)):
-            return a_next
-        a = a_next
+    ln_s = np.log(s)
+    t = np.log((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
+    for _ in range(50):
+        gap, dgap = _shape_gap(np.exp(t))
+        resid = np.log(gap) - ln_s
+        t = t - np.clip(resid * gap / dgap, -2.0, 2.0)
+        if np.all(np.abs(resid) <= 1e-10):
+            return np.exp(t)
     raise FitError("gamma shape iteration did not converge")
 
 
+def _gamma_profile(dev, ln_p):
+    """Gamma MLE of y = x^p at each ln p, given dev = ln x - mean(ln x).
+
+    Returns (loglik, k, lme): the generalized-gamma mean log-likelihood
+    maximized over (a, d) at each p, less mean(ln x); the shape k of y; and
+    lme = ln mean(e^{p dev}).  With s = lme - p mean(dev), the log-moment gap
+    of y, loglik = ln p - k s + k ln k - k - ln Gamma(k).  Rows of p dev are
+    built a block at a time, so memory stays O(n).
+    """
+    p = np.exp(ln_p)
+    lme = np.empty(p.size)
+    rows = max(1, (1 << 16) // dev.size)
+    for i in range(0, p.size, rows):
+        z = np.multiply.outer(p[i:i + rows], dev)
+        # expm1 keeps a small gap exact; the shift keeps e^z finite far out
+        top = z.max(axis=1, keepdims=True)
+        shift = np.where(top > 500.0, top, 0.0)
+        lme[i:i + rows] = shift[:, 0] + np.log1p(np.mean(np.expm1(z - shift), axis=1))
+    s = lme - p * float(np.mean(dev))
+    ok = s > 0.0
+    k = np.full(p.size, np.nan)
+    k[ok] = _gamma_shape(s[ok])
+    return np.where(ok, ln_p - k * s + _shape_free_loglik(k), -np.inf), k, lme
+
+
 def _fit_gamma(data):
-    xbar = float(np.mean(data))
-    s = math.log(xbar) - float(np.mean(np.log(data)))
-    if s <= 0.0:
+    lx = np.log(data)
+    a = float(_gamma_profile(lx - float(np.mean(lx)), np.zeros(1))[1][0])
+    if not math.isfinite(a):
         raise DegenerateDataError("log-moment gap is non-positive")
-    a = _newton_gamma_shape(s)
-    if not math.isfinite(a) or a > 1e10:
+    if a > 1e10:
         raise FitError(f"gamma shape estimate diverged (alpha = {a})")
-    return (a, xbar / a)
+    return (a, float(np.mean(data)) / a)
 
 
 def _fit_laplace(data):
@@ -579,86 +624,36 @@ def _fit_lognormal(data):
     return (u, s2)
 
 
-def _invert_trigamma(target: float) -> float:
-    """Solve psi'(q) = target for q > 0 (Newton, decreasing convex function)."""
-    q = 0.5 + 1.0 / target if target > 1e-8 else 1.0 / target
-    for _ in range(100):
-        f = float(trigamma(q)) - target
-        fprime = float(polygamma(2, q))
-        q_next = q - f / fprime
-        if q_next <= 0.0:
-            q_next = q / 2.0
-        if abs(q_next - q) <= 1e-12 * max(1.0, abs(q_next)):
-            return q_next
-        q = q_next
-    raise FitError("trigamma inversion did not converge")
-
-
-def _gengamma_mean_loglik(z: np.ndarray, lx: np.ndarray, mean_lx: float) -> float:
-    """Mean log-likelihood of the generalized gamma at z = (ln a, ln d, ln p)."""
-    la, ld, lp = z
-    if abs(la) > 300.0 or abs(ld) > 300.0 or abs(lp) > 300.0:
-        return -1e300
-    a, d, p = math.exp(la), math.exp(ld), math.exp(lp)
-    with np.errstate(over="ignore"):
-        pw = np.exp(np.minimum(p * (lx - la), 709.0))
-        mean_pw = float(np.mean(pw))
-    if not math.isfinite(mean_pw):
-        return -1e300
-    val = (lp + (d - 1.0) * mean_lx - d * la - float(log_gamma(d / p)) - mean_pw)
-    return val if math.isfinite(val) else -1e300
-
-
-def _gengamma_starts(data, lx, mean_lx):
-    var_lx = float(np.mean((lx - mean_lx) ** 2))
-    starts = []
-    # gamma-consistent start (p = 1)
-    try:
-        a0, b0 = _fit_gamma(data)
-        starts.append((b0, a0, 1.0))
-    except (FitError, DataError):
-        pass
-    # weibull-consistent start (d = p), matched to the ln-scale moments
-    sd_lx = math.sqrt(var_lx)
-    if sd_lx > 0.0:
-        k = math.pi / (math.sqrt(6.0) * sd_lx)
-        lam = math.exp(mean_lx + EULER_GAMMA / k)
-        starts.append((lam, k, k))
-    # moment start (p = 2), ln-scale mean/variance matching
-    try:
-        q = _invert_trigamma(4.0 * var_lx)
-        starts.append((math.exp(mean_lx - float(digamma(q)) / 2.0), 2.0 * q, 2.0))
-    except FitError:
-        pass
-    if not starts:
-        raise FitError("no usable starting point for the generalized gamma fit")
-    return starts
+_GG_LN_P = np.linspace(math.log(0.05), math.log(200.0), 60)
 
 
 def _fit_gengamma(data):
-    """Three-start Nelder-Mead in (ln a, ln d, ln p); the likelihood surface
-    is multimodal, so the best converged start wins."""
+    """Profile likelihood in p: for fixed p, x^p ~ Gamma(d/p, a^p), so (a, d)
+    follow from the gamma MLE of x^p (Prentice 1974; Noufaily & Jones 2013).
+
+    Every fit scans the whole fixed ln p grid over [0.05, 200] and refines the
+    best grid point by bounded Brent on its two neighbouring cells, so no
+    local maximum away from the global one can trap it; a maximum on the
+    grid's edge raises FitError.
+    """
     lx = np.log(data)
-    mean_lx = float(np.mean(lx))
-
-    def objective(z):
-        return -_gengamma_mean_loglik(z, lx, mean_lx)
-
-    best = None
-    for a0, d0, p0 in _gengamma_starts(data, lx, mean_lx):
-        z0 = np.log([a0, d0, p0])
-        res = _opt.minimize(
-            objective, z0, method="Nelder-Mead",
-            options={"maxiter": 500, "xatol": 1e-6, "fatol": 1e-8},
-        )
-        if not res.success:
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
-        raise FitError("generalized gamma fit did not converge from any start")
-    a, d, p = np.exp(best.x)
-    return (float(a), float(d), float(p))
+    m = float(np.mean(lx))
+    dev = lx - m
+    loglik = _gamma_profile(dev, _GG_LN_P)[0]
+    i = int(np.argmax(loglik))
+    if not math.isfinite(loglik[i]):
+        raise FitError("generalized gamma profile likelihood is nowhere finite")
+    if i in (0, _GG_LN_P.size - 1):
+        raise FitError(f"generalized gamma fit ran to the bound p = {math.exp(_GG_LN_P[i]):g}")
+    res = _opt.minimize_scalar(
+        lambda t: -_gamma_profile(dev, np.array([t]))[0][0],
+        bounds=(_GG_LN_P[i - 1], _GG_LN_P[i + 1]), method="bounded",
+        options={"xatol": 1e-9},
+    )
+    ln_p = float(res.x) if -res.fun >= loglik[i] else float(_GG_LN_P[i])
+    _, k, lme = _gamma_profile(dev, np.array([ln_p]))
+    p, k = math.exp(ln_p), float(k[0])
+    return (math.exp(m + (float(lme[0]) - math.log(k)) / p), p * k, p)
 
 
 # method-of-moments estimators: an explicit fallback, never silently used
@@ -839,7 +834,8 @@ def fit_mle(family: FamilyId | str, data, *, method: str = "mle") -> FittedModel
     """Fit the family by maximum likelihood (closed forms where they exist).
 
     ``method="moments"`` selects the method-of-moments fallback explicitly;
-    it is never substituted silently.
+    it is never substituted silently.  A fit that yields non-finite or
+    out-of-range parameters raises FitError.
     """
     fam = get_family(family)
     if not fam.testable:
@@ -851,7 +847,10 @@ def fit_mle(family: FamilyId | str, data, *, method: str = "mle") -> FittedModel
         raise FitError(f"{fam.family_id.value} has no {method} estimator")
     data = _check_fit_data(fam, data)
     theta = fitter(data)
-    return FittedModel(fam.family_id, theta, n_fit=int(data.size))
+    try:
+        return FittedModel(fam.family_id, theta, n_fit=int(data.size))
+    except InvalidParameterError as exc:  # a failed fit, not a caller's mistake
+        raise FitError(f"{fam.family_id.value} fit gave invalid parameters: {exc}") from exc
 
 
 def sample(model: FittedModel, n: int, stream: np.random.Generator) -> np.ndarray:

@@ -165,3 +165,17 @@ def test_missing_null_kurtosis_falls_back_to_neutral_c():
         bw = select_bandwidth(FamilyId.WEIBULL, fitted, data)
     assert bw.c == 1.0
     assert bw.h == pytest.approx(bw.k_n * np.log(data).std() * 120 ** -0.2)
+
+
+def test_unrelated_kurtosis_error_propagates(monkeypatch):
+    # only a missing null kurtosis (InvalidParameterError) falls back to c = 1
+    import ddetest.bandwidth as bw_mod
+
+    def broken(model):
+        raise ZeroDivisionError("bug in the kurtosis hook")
+
+    monkeypatch.setattr(bw_mod, "null_kurtosis", broken)
+    fitted = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
+    data = sample(fitted, 120, substream("bw-propagate"))
+    with pytest.raises(ZeroDivisionError):
+        select_bandwidth(FamilyId.GAMMA, fitted, data)

@@ -193,6 +193,41 @@ def test_bootstrap_aborts_when_failures_exceed_tolerance(monkeypatch):
         bootstrap_null(fitted, 50, 40, seed=4)
 
 
+def _nan_fitter(monkeypatch, fails):
+    """Swap the normal null's fitter for one that returns a NaN mean when
+    ``fails(call_number)`` is true and the real fit otherwise."""
+    import dataclasses
+
+    from ddetest import families
+
+    real = families.FAMILIES[FamilyId.NORMAL]
+    calls = {"n": 0}
+
+    def fit(data):
+        calls["n"] += 1
+        return (math.nan, 1.0) if fails(calls["n"]) else real.fit(data)
+
+    monkeypatch.setitem(families.FAMILIES, FamilyId.NORMAL, dataclasses.replace(real, fit=fit))
+    return calls
+
+
+def test_nonfinite_refit_is_retried(monkeypatch):
+    # every first attempt refits to NaN: a FitError, retried on a fresh stream
+    calls = _nan_fitter(monkeypatch, lambda i: i % 2 == 1)
+    fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=50)
+    boot = bootstrap_null(fitted, 50, 5, seed=4)
+    assert boot.n_failed == 0 and boot.values.size == 5
+    assert calls["n"] == 10
+
+
+def test_nonfinite_refits_abort_with_fit_error(monkeypatch):
+    _nan_fitter(monkeypatch, lambda i: True)
+    fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=50)
+    with pytest.raises(FitError, match="bootstrap replicates failed") as info:
+        bootstrap_null(fitted, 50, 10, seed=4)
+    assert info.value.exit_code == 4
+
+
 def test_bootstrap_validates_sizes():
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     with pytest.raises(UsageError):

@@ -1,12 +1,17 @@
 import math
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddetest import (
     FamilyId, FittedModel, TESTABLE_NULLS, closed_form_entropy, fit_mle,
-    log_pdf, mean_log_likelihood, null_kurtosis, sample, substream,
+    load_dataset, log_pdf, mean_log_likelihood, null_kurtosis, sample, substream,
 )
+from ddetest import families
 from ddetest.entropy import de_ml
 from ddetest.errors import (
     DataError, DegenerateDataError, FitError, InvalidParameterError, SupportError,
@@ -248,8 +253,88 @@ def test_fit_is_local_maximum(family, theta):
                 cand = FittedModel(family, tuple(perturbed))
             except InvalidParameterError:
                 continue
-            # small slack: the GG optimizer stops at a 1e-8 objective tolerance
+            # small slack: the GG fit's Brent step stops at a 1e-9 tolerance in ln p
             assert mean_log_likelihood(cand, data) <= base + 1e-7
+
+
+def test_gengamma_fit_faithful_reaches_profile_maximum():
+    x = load_dataset("faithful-hardle").values
+    assert fit_mle(FamilyId.GENGAMMA, x).theta[2] == pytest.approx(17.9573, rel=1e-4)
+
+
+@pytest.mark.parametrize("theta", [
+    (1.0, 2.0, 0.5), (1.0, 0.7, 0.6), (2.0, 3.0, 1.5), (1.0, 5.0, 3.0), (10.0, 4.0, 8.0),
+])
+def test_gengamma_fit_beats_dense_profile_oracle(theta):
+    # oracle: for fixed p, x^p ~ Gamma(d/p, a^p); the gamma MLE of x^p mapped
+    # back to (a, d, p) on 400 log-spaced p, up to where x^p stays in range
+    x = sample(FittedModel(FamilyId.GENGAMMA, theta), 300, substream("gg-oracle", *theta))
+    fit = mean_log_likelihood(fit_mle(FamilyId.GENGAMMA, x), x)
+    p_hi = min(200.0, 700.0 / float(np.max(np.abs(np.log(x)))))
+    best = -math.inf
+    for p in np.geomspace(0.05, p_hi, 400):
+        k, scale = fit_mle(FamilyId.GAMMA, x ** p).theta
+        oracle = FittedModel(FamilyId.GENGAMMA, (math.exp(math.log(scale) / p), p * k, p))
+        best = max(best, mean_log_likelihood(oracle, x))
+    assert fit >= best - 1e-12
+
+
+def _cv_sample(generator, cv, n, seed):
+    rng = np.random.default_rng(seed)
+    if generator == "normal":
+        return rng.normal(1000.0, 1000.0 * cv, n)
+    if generator == "gamma":
+        return rng.gamma(1.0 / cv**2, 1000.0 * cv**2, n)
+    return rng.lognormal(0.0, math.sqrt(math.log1p(cv**2)), n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    generator=st.sampled_from(["normal", "gamma", "lognormal"]),
+    cv=st.floats(-4.0, 1.0).map(lambda u: 10.0 ** u),
+    n=st.integers(10, 300),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(generator="normal", cv=0.01, n=300, seed=0)
+@example(generator="normal", cv=0.02, n=300, seed=0)
+def test_gamma_and_gengamma_fit_any_coefficient_of_variation(generator, cv, n, seed):
+    # every draw either fits to finite parameters or fails with a typed data
+    # error (values <= 0) or, for the GG only, a fit error; the fitter itself
+    # never produces invalid parameters
+    x = _cv_sample(generator, cv, n, seed)
+    for family, allowed in ((FamilyId.GAMMA, DataError), (FamilyId.GENGAMMA, (FitError, DataError))):
+        try:
+            theta = fit_mle(family, x).theta
+        except allowed as exc:
+            assert not isinstance(exc.__cause__, InvalidParameterError), exc
+        else:
+            assert all(math.isfinite(t) and t > 0.0 for t in theta)
+
+
+@pytest.mark.parametrize("cv", [1e-4, 1e-3, 1e-2])
+def test_gamma_fit_small_coefficient_of_variation(cv):
+    # reference: s = ln mean(x) - mean(ln x) from the Taylor series of
+    # mean(e^dev) in the moments of dev = ln x - mean(ln x), then the shape
+    # from ln a - psi(a) = 1/(2a) + 1/(12a^2) + O(a^-4), exact here to ~1e-13
+    x = _cv_sample("normal", cv, 300, 0)
+    dev = np.log(x) - np.log(x).mean()
+    m1 = dev.mean()
+    gap = math.log1p(sum(np.mean(dev**j) / math.factorial(j) for j in range(1, 11))) - m1
+    a_ref = (6.0 + math.sqrt(36.0 + 48.0 * gap)) / (24.0 * gap)
+    alpha, beta = fit_mle(FamilyId.GAMMA, x).theta
+    assert alpha == pytest.approx(a_ref, rel=1e-9)
+    assert alpha * beta == pytest.approx(x.mean(), rel=1e-12)
+
+
+def test_nonfinite_fit_raises_fit_error(monkeypatch):
+    # an invalid fitted theta is a failed fit (exit 4), not a usage error
+    real = families.FAMILIES[FamilyId.NORMAL]
+    monkeypatch.setitem(families.FAMILIES, FamilyId.NORMAL,
+                        dataclasses.replace(real, fit=lambda data: (math.nan, 1.0)))
+    with pytest.raises(FitError, match="invalid parameters") as info:
+        fit_mle(FamilyId.NORMAL, np.array([1.0, 2.0, 4.0]))
+    assert info.value.exit_code == 4
+    assert isinstance(info.value.__cause__, InvalidParameterError)
 
 
 def test_exponential_fit_scale_equivariant():
