@@ -17,7 +17,7 @@ from . import __version__
 from .bandwidth import select_bandwidth
 from .dde import DEFAULT_ALPHA, DEFAULT_N_BOOT, resolve_threads, run_test
 from .datasets import FIXTURES, load_dataset
-from .entropy import de_kde, de_ml, kde_smoothing_bias
+from .entropy import de_kde, de_ml, kde_smoothing_bias, ml_entropy_bias
 from .errors import DdeError, UsageError
 from .families import FamilyId, TESTABLE_NULLS, fit_mle, get_family
 from .montecarlo import (
@@ -262,14 +262,17 @@ def _cmd_entropy(args) -> int:
         fitted = fit_mle(args.family, ds.values)
         est = de_ml(fitted)
         fam = get_family(args.family)
+        diag = None
+        if fam.ml_bias is not None:
+            diag = ml_entropy_bias(args.family, fitted, fitted.n_fit)
         print(f"DE_ML[{fam.family_id.value}] = {_fmt(est.value)} nats")
         for name, v in zip(fam.param_names, fitted.theta):
             print(f"  {name} = {_fmt(v)}")
-        if est.bias_diag is not None:
-            print(f"  bias diagnostic = {_fmt(est.bias_diag)} (not applied)")
+        if diag is not None:
+            print(f"  bias diagnostic = {_fmt(diag)} (not applied)")
         payload.update({"estimator": "ml", "family": args.family.value,
                         "value": est.value, "theta": list(fitted.theta),
-                        "bias_diag": est.bias_diag})
+                        "bias_diag": diag})
     else:
         if args.null_family is None:
             raise UsageError("--kde needs --null-family to drive the bandwidth regime")

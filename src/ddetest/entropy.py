@@ -2,9 +2,10 @@
 
 Two estimators of -∫ f ln f dx (nats):
 
-* ``de_ml`` — the parametric plug-in at the fitted parameters.  For
-  maximum-entropy families this is the catalog closed form; a quadrature
-  path over the model's own density is kept for cross-checking.
+* ``de_ml`` — the parametric plug-in at the fitted parameters: the
+  family's closed form.  ``_de_ml_quadrature`` integrates the model's own
+  density instead; it is the oracle the tests cross-check the closed forms
+  against.
 * ``de_kde`` — the Gaussian-kernel plug-in.  Real-supported data are
   smoothed on the raw scale; positive-supported data are smoothed in
   ln-space and the raw-scale entropy recovered as DE(g) + mean(ln x),
@@ -37,7 +38,6 @@ from .bandwidth import BandwidthSpec
 from .errors import InvalidParameterError, SupportError
 from .families import FamilyId, FittedModel, Support, closed_form_entropy, get_family, log_pdf
 from .quadrature import IntegrationRange, Scale, entropy_range, integrate
-from .special import digamma, trigamma
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ∫ K^2 for the standard normal kernel = 1/(2 sqrt(pi))
@@ -59,7 +59,6 @@ class EntropyEstimate:
     estimator: EstimatorKind
     scale: Scale
     bandwidth: BandwidthSpec | None = None
-    bias_diag: float | None = None
 
     def __post_init__(self):
         if self.estimator is EstimatorKind.ML and self.bandwidth is not None:
@@ -72,37 +71,12 @@ class EntropyEstimate:
 # parametric plug-in
 # --------------------------------------------------------------------------
 
-def _model_working_stats(fitted: FittedModel) -> tuple[float, float]:
-    """(mean, sd) of the model on its working scale, for quadrature limits."""
-    fam = get_family(fitted.family)
-    th = fitted.theta
-    fid = fam.family_id
-    if fid is FamilyId.NORMAL:
-        return th[0], math.sqrt(th[1])
-    if fid is FamilyId.LAPLACE:
-        return th[0], th[1] * math.sqrt(2.0)
-    if fid is FamilyId.LOGISTIC:
-        return th[0], th[1] * math.pi / math.sqrt(3.0)
-    # positive support: moments of ln X
-    if fid is FamilyId.EXPONENTIAL:
-        return math.log(th[0]) + float(digamma(1.0)), math.sqrt(float(trigamma(1.0)))
-    if fid is FamilyId.GAMMA:
-        a, b = th
-        return float(digamma(a)) + math.log(b), math.sqrt(float(trigamma(a)))
-    if fid is FamilyId.LOGNORMAL:
-        return th[0], math.sqrt(th[1])
-    if fid is FamilyId.GENGAMMA:
-        a, d, p = th
-        q = d / p
-        return math.log(a) + float(digamma(q)) / p, math.sqrt(float(trigamma(q))) / p
-    raise InvalidParameterError(
-        f"no quadrature entropy path for {fid.value}"
-    )
-
-
 def _de_ml_quadrature(fitted: FittedModel, tol: float) -> float:
     """-∫ f ln f via quadrature on the model's working scale."""
-    mean, sd = _model_working_stats(fitted)
+    fam = get_family(fitted.family)
+    if fam.working_moments is None:
+        raise InvalidParameterError(f"no quadrature entropy path for {fam.family_id.value}")
+    mean, sd = fam.working_moments(fitted.theta)
     rng = IntegrationRange(mean - 45.0 * sd, mean + 45.0 * sd)
     if fitted.support is Support.POSITIVE:
         def integrand(y):
@@ -116,24 +90,9 @@ def _de_ml_quadrature(fitted: FittedModel, tol: float) -> float:
     return integrate(integrand, rng, tol)
 
 
-def de_ml(fitted: FittedModel, *, method: str = "closed", tol: float = DEFAULT_TOL) -> EntropyEstimate:
-    """Plug-in entropy at the fitted parameters.
-
-    ``method="closed"`` uses the maximum-entropy catalog row;
-    ``method="quadrature"`` integrates the fitted density directly.  The two
-    paths agree wherever both apply.
-    """
-    if method == "closed":
-        value = closed_form_entropy(fitted)
-    elif method == "quadrature":
-        value = _de_ml_quadrature(fitted, tol)
-    else:
-        raise InvalidParameterError(f"unknown de_ml method {method!r}")
-    fam = get_family(fitted.family)
-    diag = None
-    if fitted.n_fit >= 1 and fam.family_id in _ML_BIAS:
-        diag = ml_entropy_bias(fam.family_id, fitted, fitted.n_fit)
-    return EntropyEstimate(float(value), EstimatorKind.ML, Scale.RAW, bias_diag=diag)
+def de_ml(fitted: FittedModel) -> EntropyEstimate:
+    """Plug-in entropy at the fitted parameters, from the family's closed form."""
+    return EntropyEstimate(closed_form_entropy(fitted), EstimatorKind.ML, Scale.RAW)
 
 
 # --------------------------------------------------------------------------
@@ -205,33 +164,6 @@ def de_kde(
 # bias diagnostics
 # --------------------------------------------------------------------------
 
-def _ml_bias_normal(theta, n):
-    return 0.5 * (float(digamma((n - 1) / 2.0)) - math.log(n / 2.0))
-
-
-def _ml_bias_exponential(theta, n):
-    # Exact: E[ln x̄] - ln θ = ψ(n) - ln n = -1/(2n) + O(n^-2).
-    return -1.0 / (2.0 * n)
-
-
-def _ml_bias_gamma(theta, n):
-    a = theta[0]
-    return (1.0 / (2.0 * n * a)
-            + (1.0 - a) / (2.0 * n) * (1.0 - (a - 1.0) * float(trigamma(a))))
-
-
-def _ml_bias_laplace(theta, n):
-    return -1.0 / (2.0 * n)
-
-
-_ML_BIAS = {
-    FamilyId.NORMAL: _ml_bias_normal,
-    FamilyId.EXPONENTIAL: _ml_bias_exponential,
-    FamilyId.GAMMA: _ml_bias_gamma,
-    FamilyId.LAPLACE: _ml_bias_laplace,
-}
-
-
 def ml_entropy_bias(family: FamilyId | str, fitted: FittedModel, n: int) -> float:
     """O(1/n) bias of the plug-in entropy under the named null.
 
@@ -241,42 +173,12 @@ def ml_entropy_bias(family: FamilyId | str, fitted: FittedModel, n: int) -> floa
     empirical bias of the median/shape estimates; they are reported as
     first-order diagnostics, never applied to statistics.
     """
-    fid = FamilyId(family)
-    if fid not in _ML_BIAS:
-        raise InvalidParameterError(f"no ML-entropy bias form for {fid.value}")
+    fam = get_family(family)
+    if fam.ml_bias is None:
+        raise InvalidParameterError(f"no ML-entropy bias form for {fam.family_id.value}")
     if n < 2:
         raise InvalidParameterError("bias diagnostics need n >= 2")
-    return float(_ML_BIAS[fid](fitted.theta, n))
-
-
-# Smoothing terms (h²/2) J, with J the location Fisher information of the
-# null on its working scale (ln-scale for the positive-support families).
-
-def _smooth_bias_normal(theta, h):
-    return h * h / (2.0 * theta[1])
-
-
-def _smooth_bias_exponential(theta, h):
-    # ln-space: the score 1 - e^y/θ has variance 1 under g
-    return h * h / 2.0
-
-
-def _smooth_bias_gamma(theta, h):
-    # ln-space: the score a - e^y/b has variance a under g
-    return h * h / 2.0 * theta[0]
-
-
-def _smooth_bias_laplace(theta, h):
-    b = theta[1]
-    return h * h / (2.0 * b * b)
-
-
-_KDE_SMOOTH_BIAS = {
-    FamilyId.NORMAL: _smooth_bias_normal,
-    FamilyId.EXPONENTIAL: _smooth_bias_exponential,
-    FamilyId.GAMMA: _smooth_bias_gamma,
-    FamilyId.LAPLACE: _smooth_bias_laplace,
-}
+    return float(fam.ml_bias(fitted.theta, n))
 
 
 def kde_smoothing_bias(
@@ -298,11 +200,11 @@ def kde_smoothing_bias(
     against a Monte Carlo +0.096 for the exponential, +0.078 against
     +0.073 for gamma(3), and +0.147 against +0.090 for Laplace(b=½).
     """
-    fid = FamilyId(family)
-    if fid not in _KDE_SMOOTH_BIAS:
-        raise InvalidParameterError(f"no KDE smoothing-bias form for {fid.value}")
+    fam = get_family(family)
+    if fam.kde_smoothing is None:
+        raise InvalidParameterError(f"no KDE smoothing-bias form for {fam.family_id.value}")
     if h <= 0.0:
         raise InvalidParameterError(f"bandwidth must be > 0, got {h}")
-    smoothing = _KDE_SMOOTH_BIAS[fid](fitted.theta, h)
+    smoothing = fam.kde_smoothing(fitted.theta, h)
     variance = -_KERNEL_L2 * width / (2.0 * n * h) + 1.0 / (2.0 * n)
     return float(smoothing + variance)

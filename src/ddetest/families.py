@@ -1,17 +1,20 @@
 """Parametric distribution families: densities, samplers, MLE fits, entropies.
 
-The registry covers three tiers:
+``Family`` is the one table of per-family facts; the registry covers two
+tiers:
 
 * testable nulls (normal, exponential, gamma, laplace, lognormal, gengamma):
   full surface — log-density, sampler, MLE fit, closed-form differential
-  entropy, and the null-implied kurtosis that drives bandwidth selection;
+  entropy, the null-implied kurtosis that drives bandwidth selection, and
+  the working-scale (mean, sd) that places the quadrature entropy oracle;
 * alternative data-generating processes used in the size/power study
   (logistic, cauchy, scaled_t, rayleigh, loglogistic, lomax, weibull,
   invgaussian): samplers, log-densities, and entropy where a maximum-entropy
-  closed form exists;
-* catalog-only maximum-entropy rows (uniform, beta, chisquare, erlang, gb2,
-  pareto): log-density and closed-form entropy, kept so every catalog entry
-  can be cross-checked against direct quadrature of -∫ f ln f.
+  closed form exists.
+
+Every family carries its analytic (mean, variance); the four simulated
+nulls (normal, exponential, gamma, laplace) also carry the bias diagnostics
+of the ML and KDE entropy estimators.
 
 Parameterizations (kurtosis for positive-support families is the kurtosis of
 ln X, the scale on which their density is smoothed):
@@ -46,7 +49,7 @@ import numpy as np
 from scipy import optimize as _opt
 
 from .errors import DataError, DegenerateDataError, FitError, InvalidParameterError, SupportError
-from .special import EULER_GAMMA, beta_ln, digamma, log_gamma, polygamma, trigamma
+from .special import EULER_GAMMA, digamma, log_gamma, polygamma, trigamma
 
 _LN_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
@@ -55,7 +58,6 @@ _NEG_INF = float("-inf")
 class Support(Enum):
     REAL = "real"
     POSITIVE = "positive"
-    OTHER = "other"  # catalog-only rows with bounded / shifted supports
 
 
 class FamilyId(str, Enum):
@@ -75,30 +77,36 @@ class FamilyId(str, Enum):
     LOMAX = "lomax"
     WEIBULL = "weibull"
     INV_GAUSSIAN = "invgaussian"
-    # entropy-catalog extras
-    UNIFORM = "uniform"
-    BETA = "beta"
-    CHI_SQUARE = "chisquare"
-    ERLANG = "erlang"
-    GB2 = "gb2"
-    PARETO = "pareto"
 
 
 @dataclass(frozen=True)
 class Family:
-    """Registry entry: the callable surface one distribution family exposes."""
+    """Registry entry: the callable surface one distribution family exposes.
+
+    Each callable takes theta first.  ``working_moments`` gives (mean, sd) on
+    the working scale (raw on R, ln X on R+), ``moments`` the raw-scale
+    (mean, variance), ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in
+    entropy, and ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of
+    the KDE entropy bias.
+    """
 
     family_id: FamilyId
     param_names: tuple[str, ...]
     support: Support
-    testable: bool = False
-    validate: Callable[[tuple], str | None] | None = None
-    log_pdf: Callable | None = None
+    validate: Callable[[tuple], str | None]
+    log_pdf: Callable
+    sampler: Callable
     entropy: Callable | None = None
-    sampler: Callable | None = None
     fit: Callable | None = None
-    fit_moments: Callable | None = None
     kurtosis: Callable | None = None  # null-implied kurtosis on the working scale
+    working_moments: Callable | None = None
+    moments: Callable | None = None
+    ml_bias: Callable | None = None
+    kde_smoothing: Callable | None = None
+
+    @property
+    def testable(self) -> bool:
+        return self.fit is not None
 
     @property
     def n_params(self) -> int:
@@ -132,10 +140,9 @@ class FittedModel:
             )
         if not all(math.isfinite(t) for t in self.theta):
             raise InvalidParameterError(f"non-finite parameter in {self.theta}")
-        if fam.validate is not None:
-            problem = fam.validate(self.theta)
-            if problem:
-                raise InvalidParameterError(f"{fam.family_id.value}: {problem}")
+        problem = fam.validate(self.theta)
+        if problem:
+            raise InvalidParameterError(f"{fam.family_id.value}: {problem}")
 
     @property
     def support(self) -> Support:
@@ -284,55 +291,6 @@ def _logpdf_weibull(theta, x):
     return _with_support_mask(x, x > 0, val)
 
 
-def _logpdf_uniform(theta, x):
-    a, b = theta
-    x = np.asarray(x, dtype=float)
-    val = np.full_like(x, -math.log(b - a))
-    return _with_support_mask(x, (x >= a) & (x <= b), val)
-
-
-def _logpdf_beta(theta, x):
-    a, b = theta
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - beta_ln(a, b)
-    return _with_support_mask(x, (x > 0) & (x < 1), val)
-
-
-def _logpdf_chisquare(theta, x):
-    (v,) = theta
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = (0.5 * v - 1.0) * np.log(x) - 0.5 * x - 0.5 * v * math.log(2.0) - log_gamma(0.5 * v)
-    return _with_support_mask(x, x > 0, val)
-
-
-def _logpdf_erlang(theta, x):
-    k, lam = theta
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = k * math.log(lam) + (k - 1.0) * np.log(x) - lam * x - log_gamma(k)
-    return _with_support_mask(x, x > 0, val)
-
-
-def _logpdf_gb2(theta, x):
-    a, b, p, q = theta
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        lz = np.log(x) - math.log(b)
-        val = (math.log(a) - math.log(b) - beta_ln(p, q) + (a * p - 1.0) * lz
-               - (p + q) * np.log1p(np.exp(np.minimum(a * lz, 709.0))))
-    return _with_support_mask(x, x > 0, val)
-
-
-def _logpdf_pareto(theta, x):
-    xm, alpha = theta
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = math.log(alpha) + alpha * math.log(xm) - (alpha + 1.0) * np.log(x)
-    return _with_support_mask(x, x > xm, val)
-
-
 # --------------------------------------------------------------------------
 # closed-form differential entropies (maximum-entropy catalog)
 # --------------------------------------------------------------------------
@@ -347,8 +305,11 @@ def _entropy_exponential(theta):
 
 
 def _entropy_gamma(theta):
+    # a + ln b + ln Γ(a) + (1-a)ψ(a), rearranged so that no large terms
+    # cancel at large a: ln(ab) - F(a) + (a-1) g(a), where g(a) = ln a - ψ(a)
+    # and F(a) = a ln a - a - ln Γ(a) come from their series there
     a, b = theta
-    return a + math.log(b) + float(log_gamma(a)) + (1.0 - a) * float(digamma(a))
+    return math.log(a) + math.log(b) - _free_loglik(a) + (a - 1.0) * _gap(a)
 
 
 def _entropy_laplace(theta):
@@ -362,10 +323,12 @@ def _entropy_lognormal(theta):
 
 def _entropy_gengamma(theta):
     # Reduces to the Gamma row at p=1, Weibull at d=p, Rayleigh at (d,p)=(2,2).
+    # ln a - ln p + ln Γ(q) + q + (1-d)/p ψ(q), q = d/p, in the gamma row's
+    # cancellation-free terms: ln a - ln p - F(q) + q g(q) + (ln q - g(q))/p
     a, d, p = theta
     q = d / p
-    return (math.log(a) - math.log(p) + float(log_gamma(q)) + q
-            + (1.0 - d) / p * float(digamma(q)))
+    g = _gap(q)
+    return math.log(a) - math.log(p) - _free_loglik(q) + q * g + (math.log(q) - g) / p
 
 
 def _entropy_logistic(theta):
@@ -384,40 +347,6 @@ def _entropy_rayleigh(theta):
 def _entropy_weibull(theta):
     k, lam = theta
     return EULER_GAMMA * (k - 1.0) / k + math.log(lam / k) + 1.0
-
-
-def _entropy_uniform(theta):
-    a, b = theta
-    return math.log(b - a)
-
-
-def _entropy_beta(theta):
-    a, b = theta
-    return float(beta_ln(a, b)
-                 - (a - 1.0) * (digamma(a) - digamma(a + b))
-                 - (b - 1.0) * (digamma(b) - digamma(a + b)))
-
-
-def _entropy_chisquare(theta):
-    (v,) = theta
-    h = v / 2.0
-    return math.log(2.0) + float(log_gamma(h)) + (1.0 - h) * float(digamma(h)) + h
-
-
-def _entropy_erlang(theta):
-    k, lam = theta
-    return (1.0 - k) * float(digamma(k)) + float(log_gamma(k)) - math.log(lam) + k
-
-
-def _entropy_gb2(theta):
-    a, b, p, q = theta
-    return float(math.log(b / a) + beta_ln(p, q) + (p + q) * digamma(p + q)
-                 - (p - 1.0 / a) * digamma(p) - (q + 1.0 / a) * digamma(q))
-
-
-def _entropy_pareto(theta):
-    xm, alpha = theta
-    return math.log(xm / alpha) + 1.0 + 1.0 / alpha
 
 
 # --------------------------------------------------------------------------
@@ -532,25 +461,47 @@ def _fit_exponential(data):
 _SERIES_FROM = 20.0  # gamma shape above which asymptotic series replace scipy
 
 
+def _gap_series(k):
+    """ln k - psi(k) by psi's asymptotic series, for k >= _SERIES_FROM."""
+    r = 1.0 / (k * k)
+    return (0.5 + (1/12 - r * (1/120 - r * (1/252 - r * (1/240 - r / 132)))) / k) / k
+
+
+def _stirling_tail(k):
+    """k ln k - k - ln Gamma(k) - ln(k/2pi)/2 by Stirling's series, for k >= _SERIES_FROM."""
+    r = 1.0 / (k * k)
+    return -(1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r / 1188)))) / k
+
+
 def _shape_gap(k):
     """(ln k - psi(k), its derivative in ln k), by psi's asymptotic series for
     large k, where the direct difference ~ 1/(2k) cancels catastrophically."""
     big = np.maximum(k, _SERIES_FROM)
     r = 1.0 / (big * big)
-    gap = (0.5 + (1/12 - r * (1/120 - r * (1/252 - r * (1/240 - r / 132)))) / big) / big
     dgap = -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / big) / big
     small = k < _SERIES_FROM
-    return (np.where(small, np.log(k) - digamma(k), gap),
+    return (np.where(small, np.log(k) - digamma(k), _gap_series(big)),
             np.where(small, 1.0 - k * trigamma(k), dgap))
 
 
 def _shape_free_loglik(k):
     """k ln k - k - ln Gamma(k), by Stirling's series for large k."""
     big = np.maximum(k, _SERIES_FROM)
-    r = 1.0 / (big * big)
-    series = (0.5 * np.log(big / (2.0 * math.pi))
-              - (1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r / 1188)))) / big)
+    series = 0.5 * np.log(big / (2.0 * math.pi)) + _stirling_tail(big)
     return np.where(k < _SERIES_FROM, k * np.log(k) - k - log_gamma(k), series)
+
+
+def _gap(k: float) -> float:
+    """ln k - psi(k) for one float k > 0, in plain floats (numpy's per-call
+    cost would dominate the closed-form entropies that use it)."""
+    return _gap_series(k) if k >= _SERIES_FROM else math.log(k) - float(digamma(k))
+
+
+def _free_loglik(k: float) -> float:
+    """k ln k - k - ln Gamma(k) for one float k > 0, as _shape_free_loglik."""
+    if k >= _SERIES_FROM:
+        return 0.5 * math.log(k / (2.0 * math.pi)) + _stirling_tail(k)
+    return k * math.log(k) - k - float(log_gamma(k))
 
 
 def _gamma_shape(s):
@@ -656,33 +607,6 @@ def _fit_gengamma(data):
     return (math.exp(m + (float(lme[0]) - math.log(k)) / p), p * k, p)
 
 
-# method-of-moments estimators: an explicit fallback, never silently used
-
-def _moments_gamma(data):
-    xbar = float(np.mean(data))
-    v = float(np.mean((data - xbar) ** 2))
-    if v <= 0.0:
-        raise DegenerateDataError("zero variance")
-    return (xbar * xbar / v, v / xbar)
-
-
-def _moments_laplace(data):
-    xbar = float(np.mean(data))
-    v = float(np.mean((data - xbar) ** 2))
-    if v <= 0.0:
-        raise DegenerateDataError("zero variance")
-    return (xbar, math.sqrt(v / 2.0))
-
-
-def _moments_lognormal(data):
-    xbar = float(np.mean(data))
-    v = float(np.mean((data - xbar) ** 2))
-    if v <= 0.0:
-        raise DegenerateDataError("zero variance")
-    s2 = math.log1p(v / (xbar * xbar))
-    return (math.log(xbar) - s2 / 2.0, s2)
-
-
 # --------------------------------------------------------------------------
 # null-implied kurtosis (working scale: raw for R, ln X for R+)
 # --------------------------------------------------------------------------
@@ -719,6 +643,164 @@ def _kurt_gengamma(theta):
 
 
 # --------------------------------------------------------------------------
+# (mean, sd) on the working scale, for quadrature limits
+# --------------------------------------------------------------------------
+
+def _working_normal(th):
+    return th[0], math.sqrt(th[1])
+
+
+def _working_laplace(th):
+    return th[0], th[1] * math.sqrt(2.0)
+
+
+def _working_logistic(th):
+    return th[0], th[1] * math.pi / math.sqrt(3.0)
+
+
+def _working_exponential(th):
+    return math.log(th[0]) + float(digamma(1.0)), math.sqrt(float(trigamma(1.0)))
+
+
+def _working_gamma(th):
+    a, b = th
+    return float(digamma(a)) + math.log(b), math.sqrt(float(trigamma(a)))
+
+
+def _working_gengamma(th):
+    a, d, p = th
+    q = d / p
+    return math.log(a) + float(digamma(q)) / p, math.sqrt(float(trigamma(q))) / p
+
+
+# --------------------------------------------------------------------------
+# analytic (mean, variance); NaN where undefined
+# --------------------------------------------------------------------------
+
+def _moments_normal(th):
+    return th[0], th[1]
+
+
+def _moments_exponential(th):
+    return th[0], th[0] ** 2
+
+
+def _moments_gamma(th):
+    return th[0] * th[1], th[0] * th[1] ** 2
+
+
+def _moments_laplace(th):
+    return th[0], 2.0 * th[1] ** 2
+
+
+def _moments_lognormal(th):
+    u, s2 = th
+    m = math.exp(u + s2 / 2.0)
+    return m, (math.exp(s2) - 1.0) * math.exp(2.0 * u + s2)
+
+
+def _moments_gengamma(th):
+    a, d, p = th
+    lg = float(log_gamma(d / p))
+    m1 = a * math.exp(float(log_gamma((d + 1.0) / p)) - lg)
+    m2 = a * a * math.exp(float(log_gamma((d + 2.0) / p)) - lg)
+    return m1, m2 - m1 * m1
+
+
+def _moments_logistic(th):
+    return th[0], th[1] ** 2 * math.pi ** 2 / 3.0
+
+
+def _moments_cauchy(th):
+    return float("nan"), float("nan")
+
+
+def _moments_scaled_t(th):
+    df, s = th
+    return 0.0, s * s * df / (df - 2.0) if df > 2.0 else float("inf")
+
+
+def _moments_rayleigh(th):
+    sig = th[0]
+    return sig * math.sqrt(math.pi / 2.0), (4.0 - math.pi) / 2.0 * sig * sig
+
+
+def _moments_loglogistic(th):
+    shape, scale = th
+    c = math.pi / shape
+    mean = scale * c / math.sin(c) if shape > 1.0 else float("inf")
+    if shape <= 2.0:
+        return mean, float("inf")
+    m2 = scale * scale * 2.0 * c / math.sin(2.0 * c)
+    return mean, m2 - mean * mean
+
+
+def _moments_lomax(th):
+    a, lam = th
+    mean = lam / (a - 1.0) if a > 1.0 else float("inf")
+    var = lam * lam * a / ((a - 1.0) ** 2 * (a - 2.0)) if a > 2.0 else float("inf")
+    return mean, var
+
+
+def _moments_weibull(th):
+    k, lam = th
+    g1 = math.exp(float(log_gamma(1.0 + 1.0 / k)))
+    g2 = math.exp(float(log_gamma(1.0 + 2.0 / k)))
+    return lam * g1, lam * lam * (g2 - g1 * g1)
+
+
+def _moments_invgaussian(th):
+    mu, lam = th
+    return mu, mu ** 3 / lam
+
+
+# --------------------------------------------------------------------------
+# entropy-estimator bias diagnostics (see entropy.ml_entropy_bias and
+# entropy.kde_smoothing_bias)
+# --------------------------------------------------------------------------
+
+def _ml_bias_normal(theta, n):
+    return 0.5 * (float(digamma((n - 1) / 2.0)) - math.log(n / 2.0))
+
+
+def _ml_bias_exponential(theta, n):
+    # Exact: E[ln x̄] - ln θ = ψ(n) - ln n = -1/(2n) + O(n^-2).
+    return -1.0 / (2.0 * n)
+
+
+def _ml_bias_gamma(theta, n):
+    a = theta[0]
+    return (1.0 / (2.0 * n * a)
+            + (1.0 - a) / (2.0 * n) * (1.0 - (a - 1.0) * float(trigamma(a))))
+
+
+def _ml_bias_laplace(theta, n):
+    return -1.0 / (2.0 * n)
+
+
+# Smoothing terms (h²/2) J, with J the location Fisher information of the
+# null on its working scale (ln-scale for the positive-support families).
+
+def _smooth_bias_normal(theta, h):
+    return h * h / (2.0 * theta[1])
+
+
+def _smooth_bias_exponential(theta, h):
+    # ln-space: the score 1 - e^y/θ has variance 1 under g
+    return h * h / 2.0
+
+
+def _smooth_bias_gamma(theta, h):
+    # ln-space: the score a - e^y/b has variance a under g
+    return h * h / 2.0 * theta[0]
+
+
+def _smooth_bias_laplace(theta, h):
+    b = theta[1]
+    return h * h / (2.0 * b * b)
+
+
+# --------------------------------------------------------------------------
 # registry
 # --------------------------------------------------------------------------
 
@@ -729,88 +811,77 @@ def _register(fam: Family):
     FAMILIES[fam.family_id] = fam
 
 
-_register(Family(FamilyId.NORMAL, ("u", "sigma2"), Support.REAL, testable=True,
+_register(Family(FamilyId.NORMAL, ("u", "sigma2"), Support.REAL,
                  validate=_positive("", "sigma2"),
                  log_pdf=_logpdf_normal, entropy=_entropy_normal,
-                 sampler=_sample_normal, fit=_fit_normal, fit_moments=_fit_normal,
-                 kurtosis=_kurt_normal))
-_register(Family(FamilyId.EXPONENTIAL, ("theta",), Support.POSITIVE, testable=True,
+                 sampler=_sample_normal, fit=_fit_normal, kurtosis=_kurt_normal,
+                 working_moments=_working_normal, moments=_moments_normal,
+                 ml_bias=_ml_bias_normal, kde_smoothing=_smooth_bias_normal))
+_register(Family(FamilyId.EXPONENTIAL, ("theta",), Support.POSITIVE,
                  validate=_positive("theta"),
                  log_pdf=_logpdf_exponential, entropy=_entropy_exponential,
                  sampler=_sample_exponential, fit=_fit_exponential,
-                 fit_moments=_fit_exponential, kurtosis=_kurt_exponential))
-_register(Family(FamilyId.GAMMA, ("alpha", "beta"), Support.POSITIVE, testable=True,
+                 kurtosis=_kurt_exponential,
+                 working_moments=_working_exponential, moments=_moments_exponential,
+                 ml_bias=_ml_bias_exponential, kde_smoothing=_smooth_bias_exponential))
+_register(Family(FamilyId.GAMMA, ("alpha", "beta"), Support.POSITIVE,
                  validate=_positive("alpha", "beta"),
                  log_pdf=_logpdf_gamma, entropy=_entropy_gamma,
-                 sampler=_sample_gamma, fit=_fit_gamma, fit_moments=_moments_gamma,
-                 kurtosis=_kurt_gamma))
-_register(Family(FamilyId.LAPLACE, ("u", "b"), Support.REAL, testable=True,
+                 sampler=_sample_gamma, fit=_fit_gamma, kurtosis=_kurt_gamma,
+                 working_moments=_working_gamma, moments=_moments_gamma,
+                 ml_bias=_ml_bias_gamma, kde_smoothing=_smooth_bias_gamma))
+_register(Family(FamilyId.LAPLACE, ("u", "b"), Support.REAL,
                  validate=_positive("", "b"),
                  log_pdf=_logpdf_laplace, entropy=_entropy_laplace,
-                 sampler=_sample_laplace, fit=_fit_laplace, fit_moments=_moments_laplace,
-                 kurtosis=_kurt_laplace))
-_register(Family(FamilyId.LOGNORMAL, ("u", "sigma2"), Support.POSITIVE, testable=True,
+                 sampler=_sample_laplace, fit=_fit_laplace, kurtosis=_kurt_laplace,
+                 working_moments=_working_laplace, moments=_moments_laplace,
+                 ml_bias=_ml_bias_laplace, kde_smoothing=_smooth_bias_laplace))
+_register(Family(FamilyId.LOGNORMAL, ("u", "sigma2"), Support.POSITIVE,
                  validate=_positive("", "sigma2"),
                  log_pdf=_logpdf_lognormal, entropy=_entropy_lognormal,
-                 sampler=_sample_lognormal, fit=_fit_lognormal,
-                 fit_moments=_moments_lognormal, kurtosis=_kurt_lognormal))
-_register(Family(FamilyId.GENGAMMA, ("a", "d", "p"), Support.POSITIVE, testable=True,
+                 sampler=_sample_lognormal, fit=_fit_lognormal, kurtosis=_kurt_lognormal,
+                 # ln X ~ N(u, sigma2): the working scale shares the normal's form
+                 working_moments=_working_normal, moments=_moments_lognormal))
+_register(Family(FamilyId.GENGAMMA, ("a", "d", "p"), Support.POSITIVE,
                  validate=_positive("a", "d", "p"),
                  log_pdf=_logpdf_gengamma, entropy=_entropy_gengamma,
-                 sampler=_sample_gengamma, fit=_fit_gengamma,
-                 kurtosis=_kurt_gengamma))
+                 sampler=_sample_gengamma, fit=_fit_gengamma, kurtosis=_kurt_gengamma,
+                 working_moments=_working_gengamma, moments=_moments_gengamma))
 
 _register(Family(FamilyId.LOGISTIC, ("u", "s"), Support.REAL,
                  validate=_positive("", "s"),
                  log_pdf=_logpdf_logistic, entropy=_entropy_logistic,
-                 sampler=_sample_logistic))
+                 sampler=_sample_logistic,
+                 working_moments=_working_logistic, moments=_moments_logistic))
 _register(Family(FamilyId.CAUCHY, ("x0", "gamma"), Support.REAL,
                  validate=_positive("", "gamma"),
                  log_pdf=_logpdf_cauchy, entropy=_entropy_cauchy,
-                 sampler=_sample_cauchy))
+                 sampler=_sample_cauchy, moments=_moments_cauchy))
 _register(Family(FamilyId.SCALED_T, ("df", "scale"), Support.REAL,
                  validate=_positive("df", "scale"),
-                 log_pdf=_logpdf_scaled_t, sampler=_sample_scaled_t))
+                 log_pdf=_logpdf_scaled_t, sampler=_sample_scaled_t,
+                 moments=_moments_scaled_t))
 _register(Family(FamilyId.RAYLEIGH, ("sigma",), Support.POSITIVE,
                  validate=_positive("sigma"),
                  log_pdf=_logpdf_rayleigh, entropy=_entropy_rayleigh,
-                 sampler=_sample_rayleigh))
+                 sampler=_sample_rayleigh, moments=_moments_rayleigh))
 _register(Family(FamilyId.LOGLOGISTIC, ("shape", "scale"), Support.POSITIVE,
                  validate=_positive("shape", "scale"),
-                 log_pdf=_logpdf_loglogistic, sampler=_sample_loglogistic))
+                 log_pdf=_logpdf_loglogistic, sampler=_sample_loglogistic,
+                 moments=_moments_loglogistic))
 _register(Family(FamilyId.LOMAX, ("shape", "scale"), Support.POSITIVE,
                  validate=_positive("shape", "scale"),
-                 log_pdf=_logpdf_lomax, sampler=_sample_lomax))
+                 log_pdf=_logpdf_lomax, sampler=_sample_lomax, moments=_moments_lomax))
 _register(Family(FamilyId.WEIBULL, ("k", "lam"), Support.POSITIVE,
                  validate=_positive("k", "lam"),
                  log_pdf=_logpdf_weibull, entropy=_entropy_weibull,
-                 sampler=_sample_weibull))
+                 sampler=_sample_weibull, moments=_moments_weibull))
 _register(Family(FamilyId.INV_GAUSSIAN, ("mu", "lam"), Support.POSITIVE,
                  validate=_positive("mu", "lam"),
-                 log_pdf=_logpdf_invgaussian, sampler=_sample_invgaussian))
-
-_register(Family(FamilyId.UNIFORM, ("a", "b"), Support.OTHER,
-                 validate=lambda th: None if th[1] > th[0] else "requires b > a",
-                 log_pdf=_logpdf_uniform, entropy=_entropy_uniform))
-_register(Family(FamilyId.BETA, ("alpha", "beta"), Support.OTHER,
-                 validate=_positive("alpha", "beta"),
-                 log_pdf=_logpdf_beta, entropy=_entropy_beta))
-_register(Family(FamilyId.CHI_SQUARE, ("v",), Support.POSITIVE,
-                 validate=_positive("v"),
-                 log_pdf=_logpdf_chisquare, entropy=_entropy_chisquare))
-_register(Family(FamilyId.ERLANG, ("k", "lam"), Support.POSITIVE,
-                 validate=_positive("k", "lam"),
-                 log_pdf=_logpdf_erlang, entropy=_entropy_erlang))
-_register(Family(FamilyId.GB2, ("a", "b", "p", "q"), Support.POSITIVE,
-                 validate=_positive("a", "b", "p", "q"),
-                 log_pdf=_logpdf_gb2, entropy=_entropy_gb2))
-_register(Family(FamilyId.PARETO, ("xm", "alpha"), Support.OTHER,
-                 validate=_positive("xm", "alpha"),
-                 log_pdf=_logpdf_pareto, entropy=_entropy_pareto))
+                 log_pdf=_logpdf_invgaussian, sampler=_sample_invgaussian,
+                 moments=_moments_invgaussian))
 
 TESTABLE_NULLS = tuple(f for f, fam in FAMILIES.items() if fam.testable)
-
-_FITTERS = {"mle": "fit", "moments": "fit_moments"}
 
 
 def get_family(family: FamilyId | str) -> Family:
@@ -824,29 +895,19 @@ def get_family(family: FamilyId | str) -> Family:
 
 def log_pdf(model: FittedModel, x):
     """ln f(x; theta); -inf outside the family's support."""
-    fam = get_family(model.family)
-    if fam.log_pdf is None:
-        raise InvalidParameterError(f"{fam.family_id.value} has no density implementation")
-    return fam.log_pdf(model.theta, x)
+    return get_family(model.family).log_pdf(model.theta, x)
 
 
-def fit_mle(family: FamilyId | str, data, *, method: str = "mle") -> FittedModel:
+def fit_mle(family: FamilyId | str, data) -> FittedModel:
     """Fit the family by maximum likelihood (closed forms where they exist).
 
-    ``method="moments"`` selects the method-of-moments fallback explicitly;
-    it is never substituted silently.  A fit that yields non-finite or
-    out-of-range parameters raises FitError.
+    A fit that yields non-finite or out-of-range parameters raises FitError.
     """
     fam = get_family(family)
     if not fam.testable:
         raise FitError(f"{fam.family_id.value} is not a testable null (sampler-only)")
-    if method not in _FITTERS:
-        raise InvalidParameterError(f"unknown fit method {method!r}")
-    fitter = getattr(fam, _FITTERS[method])
-    if fitter is None:
-        raise FitError(f"{fam.family_id.value} has no {method} estimator")
     data = _check_fit_data(fam, data)
-    theta = fitter(data)
+    theta = fam.fit(data)
     try:
         return FittedModel(fam.family_id, theta, n_fit=int(data.size))
     except InvalidParameterError as exc:  # a failed fit, not a caller's mistake
@@ -858,8 +919,6 @@ def sample(model: FittedModel, n: int, stream: np.random.Generator) -> np.ndarra
     if n < 1:
         raise InvalidParameterError(f"sample size must be >= 1, got {n}")
     fam = get_family(model.family)
-    if fam.sampler is None:
-        raise InvalidParameterError(f"{fam.family_id.value} has no sampler")
     return np.asarray(fam.sampler(model.theta, int(n), stream), dtype=float)
 
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from .dde import run_test
 from .errors import DdeError, UsageError
 from .families import FamilyId, FittedModel, get_family, sample
-from .special import log_gamma
 from .streams import stable_seed, substream
 
 SIMULATED_NULLS = (
@@ -88,58 +87,10 @@ def dgp_label(model: FittedModel) -> str:
 
 def dgp_moments(model: FittedModel) -> tuple[float, float]:
     """Analytic (mean, variance) of a generator spec; NaN where undefined."""
-    th = model.theta
-    fid = model.family
-    if fid is FamilyId.NORMAL:
-        return th[0], th[1]
-    if fid is FamilyId.EXPONENTIAL:
-        return th[0], th[0] ** 2
-    if fid is FamilyId.GAMMA:
-        return th[0] * th[1], th[0] * th[1] ** 2
-    if fid is FamilyId.LAPLACE:
-        return th[0], 2.0 * th[1] ** 2
-    if fid is FamilyId.LOGNORMAL:
-        u, s2 = th
-        m = math.exp(u + s2 / 2.0)
-        return m, (math.exp(s2) - 1.0) * math.exp(2.0 * u + s2)
-    if fid is FamilyId.LOGISTIC:
-        return th[0], th[1] ** 2 * math.pi ** 2 / 3.0
-    if fid is FamilyId.CAUCHY:
-        return float("nan"), float("nan")
-    if fid is FamilyId.SCALED_T:
-        df, s = th
-        return 0.0, s * s * df / (df - 2.0) if df > 2.0 else float("inf")
-    if fid is FamilyId.RAYLEIGH:
-        sig = th[0]
-        return sig * math.sqrt(math.pi / 2.0), (4.0 - math.pi) / 2.0 * sig * sig
-    if fid is FamilyId.LOGLOGISTIC:
-        shape, scale = th
-        c = math.pi / shape
-        mean = scale * c / math.sin(c) if shape > 1.0 else float("inf")
-        if shape <= 2.0:
-            return mean, float("inf")
-        m2 = scale * scale * 2.0 * c / math.sin(2.0 * c)
-        return mean, m2 - mean * mean
-    if fid is FamilyId.LOMAX:
-        a, lam = th
-        mean = lam / (a - 1.0) if a > 1.0 else float("inf")
-        var = lam * lam * a / ((a - 1.0) ** 2 * (a - 2.0)) if a > 2.0 else float("inf")
-        return mean, var
-    if fid is FamilyId.INV_GAUSSIAN:
-        mu, lam = th
-        return mu, mu ** 3 / lam
-    if fid is FamilyId.WEIBULL:
-        k, lam = th
-        g1 = math.exp(float(log_gamma(1.0 + 1.0 / k)))
-        g2 = math.exp(float(log_gamma(1.0 + 2.0 / k)))
-        return lam * g1, lam * lam * (g2 - g1 * g1)
-    if fid is FamilyId.GENGAMMA:
-        a, d, p = th
-        lg = float(log_gamma(d / p))
-        m1 = a * math.exp(float(log_gamma((d + 1.0) / p)) - lg)
-        m2 = a * a * math.exp(float(log_gamma((d + 2.0) / p)) - lg)
-        return m1, m2 - m1 * m1
-    raise UsageError(f"no moments available for {fid.value}")
+    fam = get_family(model.family)
+    if fam.moments is None:
+        raise UsageError(f"no moments available for {fam.family_id.value}")
+    return fam.moments(model.theta)
 
 
 @dataclass(frozen=True)

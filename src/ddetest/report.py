@@ -80,10 +80,6 @@ def emit_json(obj: dict[str, Any]) -> str:
     return json.dumps(obj, indent=2, allow_nan=False) + "\n"
 
 
-def parse_json(text: str) -> dict[str, Any]:
-    return json.loads(text)
-
-
 def simulation_manifest(config: dict[str, Any]) -> dict[str, Any]:
     return {
         "schema_version": SCHEMA_VERSION,

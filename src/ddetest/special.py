@@ -1,9 +1,6 @@
 """Special functions used by the entropy formulas and bias diagnostics."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 from scipy import special as _sp
 
@@ -11,7 +8,6 @@ EULER_GAMMA = float(np.euler_gamma)
 
 log_gamma = _sp.gammaln
 digamma = _sp.digamma
-beta_ln = _sp.betaln
 
 
 def trigamma(x):
@@ -21,14 +17,3 @@ def trigamma(x):
 def polygamma(n: int, x):
     return _sp.polygamma(n, x)
 
-
-@dataclass(frozen=True)
-class SpecialFunctionSuite:
-    """The trio of evaluators every family formula is written against."""
-
-    log_gamma: Callable
-    digamma: Callable
-    trigamma: Callable
-
-
-SUITE = SpecialFunctionSuite(log_gamma=log_gamma, digamma=digamma, trigamma=trigamma)

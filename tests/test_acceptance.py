@@ -16,7 +16,7 @@ import ddetest as d
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
 from ddetest.dde import BootstrapDistribution
-from ddetest.entropy import _model_working_stats
+from ddetest.entropy import _de_ml_quadrature
 from ddetest.families import FamilyId, FittedModel, Support
 from ddetest.montecarlo import NULL_MEMBERS
 from ddetest.quadrature import IntegrationRange, Scale, entropy_range, integrate
@@ -54,28 +54,13 @@ GRIDS = {
 }
 
 
-def _entropy_by_quadrature(fitted: FittedModel) -> float:
-    """-∫ f ln f dx via adaptive quadrature (ln-substituted on R+)."""
-    mean, sd = _model_working_stats(fitted)
-    rng = IntegrationRange(mean - 45.0 * sd, mean + 45.0 * sd)
-    if fitted.support is Support.POSITIVE:
-        def w(y):
-            lp = d.log_pdf(fitted, np.exp(y))
-            return -np.exp(lp + y) * np.where(np.isfinite(lp), lp, 0.0)
-    else:
-        def w(y):
-            lp = d.log_pdf(fitted, y)
-            return -np.exp(lp) * np.where(np.isfinite(lp), lp, 0.0)
-    return integrate(w, rng, tol=1e-9)
-
-
 def test_criterion_1_entropy_oracle_equivalence():
     worst = 0.0
     count = 0
     for family, grid in GRIDS.items():
         for theta in grid:
             fitted = FittedModel(family, theta)
-            gap = abs(d.closed_form_entropy(fitted) - _entropy_by_quadrature(fitted))
+            gap = abs(d.closed_form_entropy(fitted) - _de_ml_quadrature(fitted, tol=1e-9))
             worst = max(worst, gap)
             count += 1
     _report(1, "closed-form entropies match quadrature of the entropy integral "

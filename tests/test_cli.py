@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from ddetest.cli import main
-from ddetest.report import parse_json
 
 FIXTURE = "faithful-hardle"
 
@@ -52,7 +51,7 @@ def test_numeric_family_test_runs_and_writes_report(tmp_path, capsys):
     assert code == 0
     text = capsys.readouterr().out
     assert "p-value" in text and "decision" in text
-    doc = parse_json(out.read_text())
+    doc = json.loads(out.read_text())
     assert doc["schema_version"] == 1
     assert doc["dataset"]["n"] == 272
     assert doc["config"]["nboot"] == 40
@@ -64,7 +63,7 @@ def test_report_round_trips_byte_identically(tmp_path):
     run_cli(["test", "--family", "exponential", "--data", FIXTURE,
              "--nboot", "25", "--seed", "2", "--threads", "1", "--out", str(out)])
     raw = out.read_text()
-    doc = parse_json(raw)
+    doc = json.loads(raw)
     from ddetest.report import emit_json
 
     assert emit_json(doc) == raw
@@ -90,7 +89,7 @@ def test_simulate_writes_cells_and_manifest(tmp_path, capsys):
     assert lines[0].startswith("null,dgp,n,")
     assert len(lines) == 2
     raw = (out / "manifest.json").read_text()
-    manifest = parse_json(raw)
+    manifest = json.loads(raw)
     assert manifest["config"]["reps"] == 2
     assert manifest["schema_version"] == 1
     from ddetest.report import emit_json
@@ -119,11 +118,15 @@ def test_simulate_deterministic_across_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_entropy_ml_path(capsys):
-    code = run_cli(["entropy", "--data", FIXTURE, "--family", "exponential"])
+def test_entropy_ml_path(tmp_path, capsys):
+    out_json = tmp_path / "ml.json"
+    code = run_cli(["entropy", "--data", FIXTURE, "--family", "exponential",
+                    "--out", str(out_json)])
     assert code == 0
     out = capsys.readouterr().out
-    assert "DE_ML" in out and "bias diagnostic" in out
+    assert "DE_ML" in out and "bias diagnostic = -0.00183824 (not applied)" in out
+    # exponential ML bias -1/(2n) at n = 272
+    assert json.loads(out_json.read_text())["bias_diag"] == -1.0 / (2.0 * 272)
 
 
 def test_entropy_kde_path_reports_bandwidth_decomposition(capsys):
@@ -156,7 +159,7 @@ def test_config_file_supplies_defaults(tmp_path):
     out = tmp_path / "r.json"
     run_cli(["test", "--family", "normal", "--data", FIXTURE,
              "--config", str(cfg), "--threads", "1", "--out", str(out)])
-    doc = parse_json(out.read_text())
+    doc = json.loads(out.read_text())
     assert doc["config"]["nboot"] == 21
     assert doc["config"]["seed"] == 99
 

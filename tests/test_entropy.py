@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ from ddetest import (
     ml_entropy_bias, sample, select_bandwidth, substream,
 )
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
-from ddetest.entropy import EntropyEstimate, EstimatorKind
+from ddetest.cli import main as cli_main
+from ddetest.entropy import DEFAULT_TOL, EntropyEstimate, EstimatorKind, _de_ml_quadrature
 from ddetest.errors import InvalidParameterError
 from ddetest.families import Support
 from ddetest.quadrature import IntegrationRange, Scale, integrate
@@ -42,16 +44,19 @@ def test_de_ml_exponential():
 def test_de_ml_gamma_cross_checked_by_quadrature():
     fitted = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
     closed = de_ml(fitted).value
-    quad = de_ml(fitted, method="quadrature").value
+    quad = _de_ml_quadrature(fitted, tol=DEFAULT_TOL)
     assert closed == pytest.approx(1.8475785103630111, abs=1e-12)
     assert quad == pytest.approx(closed, abs=1e-8)
 
 
-def test_de_ml_attaches_bias_diag_when_fit():
+def test_de_ml_attaches_bias_diag_when_fit(tmp_path):
+    # the ML bias diagnostic of a fit is reported by `ddetest entropy`
     data = sample(FittedModel(FamilyId.EXPONENTIAL, (2.0,)), 50, substream("diag"))
-    fitted = fit_mle(FamilyId.EXPONENTIAL, data)
-    est = de_ml(fitted)
-    assert est.bias_diag == pytest.approx(-1.0 / 100.0)
+    csv, out = tmp_path / "x.csv", tmp_path / "ml.json"
+    csv.write_text("".join(f"{float(v)!r}\n" for v in data))
+    assert cli_main(["entropy", "--data", str(csv), "--family", "exponential",
+                     "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["bias_diag"] == pytest.approx(-1.0 / 100.0)
 
 
 def test_estimate_invariants():

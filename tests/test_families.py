@@ -12,13 +12,30 @@ from ddetest import (
     load_dataset, log_pdf, mean_log_likelihood, null_kurtosis, sample, substream,
 )
 from ddetest import families
-from ddetest.entropy import de_ml
+from ddetest.entropy import DEFAULT_TOL, _de_ml_quadrature, de_ml
 from ddetest.errors import (
     DataError, DegenerateDataError, FitError, InvalidParameterError, SupportError,
 )
 from ddetest.families import Support, get_family
+from ddetest.montecarlo import NULL_MEMBERS, SIMULATED_NULLS, table4_alternatives
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
+
+
+def test_family_table_contract():
+    # every per-family fact the pipeline looks up lives on Family
+    for fid in FamilyId:
+        fam = get_family(fid)
+        assert all(callable(f) for f in (fam.validate, fam.log_pdf, fam.sampler)), fid
+    for fid in TESTABLE_NULLS:
+        fam = get_family(fid)
+        for name in ("fit", "entropy", "kurtosis", "working_moments"):
+            assert callable(getattr(fam, name)), (fid, name)
+    for null in SIMULATED_NULLS:
+        for model in (NULL_MEMBERS[null], *table4_alternatives(null)):
+            assert callable(get_family(model.family).moments), model
+    for name in ("ml_bias", "kde_smoothing"):
+        assert {f for f in FamilyId if getattr(get_family(f), name) is not None} == set(SIMULATED_NULLS)
 
 
 # --------------------------------------------------------------------------
@@ -84,6 +101,19 @@ def test_gamma_entropy_value():
     assert v == pytest.approx(1.8475785103630111, abs=1e-12)
 
 
+@pytest.mark.parametrize("family, theta, entropy", [
+    # 40-digit mpmath values of a + ln b + ln Γ(a) + (1-a)ψ(a) and its GG form;
+    # the direct form loses 2e-11 at a = 1e4 and 7.5e-8 at a = 1e8
+    (FamilyId.GAMMA, (1e4, 0.1), 3.7214902920320406489),
+    (FamilyId.GAMMA, (1e6, 1e-3), 1.4189381998712560751),
+    (FamilyId.GAMMA, (1e8, 1e-5), -0.8836465631227062839),
+    (FamilyId.GENGAMMA, (1.0, 1e6, 1.0), 8.3266934788533931272),
+    (FamilyId.GENGAMMA, (5.0, 3e8, 3.0), -1.1403493003547308231),
+])
+def test_entropy_large_shape(family, theta, entropy):
+    assert closed_form_entropy(FittedModel(family, theta)) == pytest.approx(entropy, abs=1e-13)
+
+
 def test_gengamma_reduces_to_gamma_at_unit_power():
     # a=beta, d=alpha, p=1
     for alpha, beta in [(0.7, 2.0), (3.0, 1.0), (5.5, 0.25)]:
@@ -113,8 +143,8 @@ def test_gengamma_reduces_to_weibull_and_rayleigh():
 ])
 def test_closed_form_matches_quadrature(family, theta):
     fitted = FittedModel(family, theta)
-    closed = de_ml(fitted, method="closed").value
-    quad = de_ml(fitted, method="quadrature").value
+    closed = de_ml(fitted).value
+    quad = _de_ml_quadrature(fitted, tol=DEFAULT_TOL)
     assert closed == pytest.approx(quad, abs=1e-6)
 
 
@@ -134,11 +164,10 @@ def test_closed_form_matches_quadrature(family, theta):
 ])
 def test_density_normalizes(family, theta):
     # exp(log_pdf) integrates to 1 over the working scale
-    from ddetest.entropy import _model_working_stats
     from ddetest.quadrature import IntegrationRange, integrate
 
     fitted = FittedModel(family, theta)
-    mean, sd = _model_working_stats(fitted)
+    mean, sd = get_family(family).working_moments(theta)
     rng = IntegrationRange(mean - 45.0 * sd, mean + 45.0 * sd)
     if fitted.support is Support.POSITIVE:
         def f(y):
@@ -221,15 +250,6 @@ def test_fit_preconditions():
         fit_mle(FamilyId.NORMAL, np.array([2.0, 2.0, 2.0]))
     with pytest.raises(FitError):
         fit_mle(FamilyId.CAUCHY, np.array([1.0, 2.0, 3.0]))  # sampler-only
-
-
-def test_moments_method_is_explicit():
-    data = sample(FittedModel(FamilyId.GAMMA, (3.0, 1.0)), 500, substream("mom-fit"))
-    m = fit_mle(FamilyId.GAMMA, data, method="moments")
-    xbar, v = data.mean(), data.var()
-    assert m.theta == pytest.approx((xbar * xbar / v, v / xbar))
-    with pytest.raises(FitError):
-        fit_mle(FamilyId.GENGAMMA, data, method="moments")
 
 
 @pytest.mark.parametrize("family, theta", [

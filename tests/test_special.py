@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from ddetest.special import SUITE, digamma, log_gamma, trigamma
+from ddetest.special import digamma, log_gamma, trigamma
 
 
 def test_digamma_recurrence():
@@ -25,9 +25,3 @@ def test_log_gamma_on_integers():
         fact *= k - 1
         assert abs(log_gamma(k) - math.log(fact)) <= 1e-12 * abs(math.log(fact))
     assert log_gamma(1.0) == 0.0
-
-
-def test_suite_exposes_the_three_evaluators():
-    assert SUITE.log_gamma is log_gamma
-    assert SUITE.digamma(1.0) == digamma(1.0)
-    assert SUITE.trigamma(2.0) == trigamma(2.0)
