@@ -83,11 +83,12 @@ class FamilyId(str, Enum):
 class Family:
     """Registry entry: the callable surface one distribution family exposes.
 
-    Each callable takes theta first.  ``working_moments`` gives (mean, sd) on
-    the working scale (raw on R, ln X on R+), ``moments`` the raw-scale
-    (mean, variance), ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in
-    entropy, and ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of
-    the KDE entropy bias.
+    Each callable but ``fit`` (which takes the data) takes theta first.
+    ``working_moments`` gives (mean, sd) on the working scale (raw on R,
+    ln X on R+), ``moments`` the raw-scale (mean, variance),
+    ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in entropy, and
+    ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of the KDE
+    entropy bias.
     """
 
     family_id: FamilyId
