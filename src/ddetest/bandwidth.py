@@ -71,15 +71,22 @@ def truncate_kurtosis(kappa_hat: float) -> float:
 
 
 def _sample_shape(x: np.ndarray) -> tuple[float, float, float]:
-    """(sigma, skewness, kurtosis) with divisor-n moments."""
-    m = float(np.mean(x))
-    d = x - m
-    m2 = float(np.mean(d * d))
+    """(sigma, skewness, kurtosis) with divisor-n moments.
+
+    The third and fourth moments are taken on the standardized sample, so
+    they cannot overflow where the variance does not.
+    """
+    d = x - np.mean(x)
+    with np.errstate(over="ignore"):
+        m2 = float(np.mean(d * d))
+    if not math.isfinite(m2):
+        raise DataError("variance on the working scale is not finite")
     if m2 <= 0.0:
         raise DegenerateDataError("zero variance on the working scale")
-    m3 = float(np.mean(d ** 3))
-    m4 = float(np.mean(d ** 4))
-    return math.sqrt(m2), m3 / m2 ** 1.5, m4 / (m2 * m2)
+    sigma = math.sqrt(m2)
+    u = d / sigma
+    u2 = u * u
+    return sigma, float(np.mean(u2 * u)), float(np.mean(u2 * u2))
 
 
 def _working_data(null_family: FamilyId, data: np.ndarray) -> tuple[np.ndarray, Scale]:
@@ -99,12 +106,19 @@ def classify_regime(null_family: FamilyId | str, data) -> Regime:
     data = np.asarray(data, dtype=float)
     if data.size < 4:
         raise DataError("regime classification needs at least 4 observations")
-    if fam.family_id is FamilyId.NORMAL:
+    if fam.family_id is FamilyId.NORMAL or fam.support is Support.POSITIVE:
+        return _regime(fam.family_id, None)
+    return _regime(fam.family_id, _sample_shape(data))
+
+
+def _regime(null_family: FamilyId, shape: tuple[float, float, float] | None) -> Regime:
+    """The regime given ``_sample_shape`` of the working data, which only
+    real-support nulls other than the normal read."""
+    if null_family is FamilyId.NORMAL:
         return Regime.GAUSSIAN
-    if fam.support is Support.POSITIVE:
+    if get_family(null_family).support is Support.POSITIVE:
         return Regime.RIGHT_SKEWED_POSITIVE
-    working, _ = _working_data(fam.family_id, data)
-    _, skew, kurt = _sample_shape(working)
+    _, skew, kurt = shape
     if abs(skew) <= 0.5 and 2.0 <= kurt <= 4.0:
         return Regime.NEAR_GAUSSIAN
     return Regime.NON_GAUSSIAN_REAL
@@ -135,8 +149,9 @@ def select_bandwidth(
     if data.size < 4:
         raise DataError("bandwidth selection needs at least 4 observations")
     working, scale = _working_data(fam.family_id, data)
-    sigma, skew, kurt = _sample_shape(working)
-    regime = classify_regime(fam.family_id, data)
+    shape = _sample_shape(working)
+    sigma, skew, kurt = shape
+    regime = _regime(fam.family_id, shape)
     try:
         kappa0 = null_kurtosis(fitted)
     except InvalidParameterError:

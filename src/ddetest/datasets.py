@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from importlib import resources
 
@@ -93,7 +94,7 @@ def _parse_text(text: str, column, source: str, name: str) -> Dataset:
             v = float(cell)
         except ValueError:
             raise DataError(f"{source}, line {lineno}: could not parse {cell!r} as a number")
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise DataError(f"{source}, line {lineno}: non-finite value {cell!r}")
         values.append(v)
     if not values:

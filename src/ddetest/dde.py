@@ -15,8 +15,10 @@ The reject flag follows the p-value rule (the exact finite-simulation rank
 test); the interval decision is reported alongside.
 
 Every replicate draws from a stream that is a pure function of
-(seed, replicate, attempt), so results are bit-identical regardless of how
-replicates are scheduled across workers.
+(seed, replicate, attempt), and the KDE entropies a worker computes for a
+group of replicates at once are bit-identical to computing each alone, so
+results are bit-identical regardless of how replicates are scheduled across
+workers.
 """
 from __future__ import annotations
 
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import BandwidthSpec, select_bandwidth
-from .entropy import de_kde, de_ml
+from .entropy import KDE_BLOCK_BYTES, _kde_entropy_rows, de_kde, de_ml
 from .errors import DataError, DdeError, FitError, InvalidParameterError, UsageError
-from .families import FamilyId, FittedModel, fit_mle, get_family, sample
+from .families import FamilyId, FittedModel, Support, fit_mle, get_family, sample
+from .quadrature import range_bounds
 from .streams import substream
 
 DEFAULT_N_BOOT = 1000
@@ -87,27 +90,47 @@ def dde_statistic(fitted: FittedModel, data, bw: BandwidthSpec) -> float:
     return ml - kde
 
 
-def _one_replicate(fitted: FittedModel, n: int, seed: int, r: int,
-                   theta_fixed: bool) -> float:
-    """One bootstrap DDE value; NaN if every attempt failed to fit."""
-    fam = fitted.family
-    for attempt in range(_MAX_ATTEMPTS):
-        stream = substream(seed, "boot", r, attempt)
-        x = sample(fitted, n, stream)
-        try:
-            refit = fitted if theta_fixed else fit_mle(fam, x)
-            bw = select_bandwidth(fam, refit, x)
-            return dde_statistic(refit, x, bw)
-        except (FitError, DataError):
-            continue
-    return float("nan")
-
-
 def _replicate_batch(args) -> np.ndarray:
+    """Bootstrap DDE values for replicates start..stop-1; NaN where every
+    attempt failed to fit.
+
+    Each replicate draws, refits, reselects the bandwidth and takes DE_ML on
+    its own streams; the KDE entropies of a group of replicates then come
+    from one ``_kde_entropy_rows`` call, the group's (rows, n) samples
+    capped at ``KDE_BLOCK_BYTES``.
+    """
     fitted, n, seed, start, stop, theta_fixed = args
-    out = np.empty(stop - start, dtype=float)
-    for i, r in enumerate(range(start, stop)):
-        out[i] = _one_replicate(fitted, n, seed, r, theta_fixed)
+    fam = get_family(fitted.family)
+    group = max(1, KDE_BLOCK_BYTES // (8 * n))
+    out = np.full(stop - start, np.nan)
+    for g0 in range(start, stop, group):
+        g1 = min(g0 + group, stop)
+        rows = np.empty((g1 - g0, n))
+        h = np.empty(g1 - g0)
+        ml = np.full(g1 - g0, np.nan)
+        for i, r in enumerate(range(g0, g1)):
+            for attempt in range(_MAX_ATTEMPTS):
+                stream = substream(seed, "boot", r, attempt)
+                x = sample(fitted, n, stream)
+                try:
+                    refit = fitted if theta_fixed else fit_mle(fam.family_id, x)
+                    bw = select_bandwidth(fam.family_id, refit, x)
+                    ml[i] = de_ml(refit).value
+                except (FitError, DataError):
+                    continue
+                rows[i] = x
+                h[i] = bw.h
+                break
+        ok = ~np.isnan(ml)
+        rows, h = rows[ok], h[ok]
+        if fam.support is Support.POSITIVE:
+            np.log(rows, out=rows)
+            shift = rows.mean(axis=1)
+        else:
+            shift = 0.0
+        lower, upper = range_bounds(rows, h)
+        kde = _kde_entropy_rows(rows, h, lower, upper) + shift
+        out[g0 - start:g1 - start][ok] = ml[ok] - kde
     return out
 
 

@@ -9,7 +9,12 @@ Two estimators of -∫ f ln f dx (nats):
 * ``de_kde`` — the Gaussian-kernel plug-in.  Real-supported data are
   smoothed on the raw scale; positive-supported data are smoothed in
   ln-space and the raw-scale entropy recovered as DE(g) + mean(ln x),
-  which is exact by change of variables.
+  which is exact by change of variables.  The integral -∫_R f̂ ln f̂ is a
+  fixed rule, not an adaptive one: 10-point Gauss–Legendre on ⌈W/2h⌉
+  equal panels of R (``_kde_entropy_rows``), within 1e-9 of the adaptive
+  integral at tol 1e-12 on the testable nulls.  The same kernel evaluates
+  many samples at once; the bootstrap calls it once per group of
+  replicates.
 
 The bias formulas (``ml_entropy_bias``, ``kde_smoothing_bias``) are
 diagnostics only: the bootstrap calibration reproduces both biases on its
@@ -35,7 +40,7 @@ import numpy as np
 from scipy.special import xlogy
 
 from .bandwidth import BandwidthSpec
-from .errors import InvalidParameterError, SupportError
+from .errors import InvalidParameterError, QuadratureError, SupportError
 from .families import FamilyId, FittedModel, Support, closed_form_entropy, get_family, log_pdf
 from .quadrature import IntegrationRange, Scale, entropy_range, integrate
 
@@ -113,21 +118,82 @@ def kde_pdf(data, h: float, x):
     return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
+# The KDE entropy rule: 10-point Gauss–Legendre nodes and weights on
+# [-1, 1], on panels at most _PANEL_BANDWIDTHS bandwidths wide.  Against the
+# adaptive integrator at tol 1e-12 its error stayed below 1e-9 on the
+# testable nulls at n = 50..500; 8 nodes per 2h reached 1.4e-8 and 10 nodes
+# per 4h 1.4e-6.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_PANEL_BANDWIDTHS = 2.0
+# cap on the (nodes, n) kernel block, and on the rows a caller batches
+KDE_BLOCK_BYTES = 1 << 20
+
+
+def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
+                      upper: np.ndarray) -> np.ndarray:
+    """-∫ f̂_r ln f̂_r over [lower_r, upper_r] for each row r of ``work``.
+
+    ``work`` is a (rows, n) array of working-scale samples and f̂_r the
+    Gaussian KDE of row r with bandwidth h[r].  Each range is cut into
+    ⌈W/2h⌉ equal panels, each integrated by the 10-point Gauss–Legendre
+    rule; the (node, observation) kernel matrix is built in place, in
+    blocks of at most ``KDE_BLOCK_BYTES``.  Every reduction runs along one
+    row or one panel (no BLAS), so a row's value is bit-identical whether it
+    is evaluated alone or with any other rows.
+    """
+    rows, n = work.shape
+    width = upper - lower
+    panels = np.ceil(width / (_PANEL_BANDWIDTHS * h)).astype(np.intp)
+    half = width / (2.0 * panels)
+    panel_row = np.repeat(np.arange(rows), panels)
+    panel_half = half[panel_row]
+    first = np.cumsum(panels) - panels
+    centre = lower[panel_row] + (2.0 * (np.arange(panel_row.size) - first[panel_row]) + 1.0) \
+        * panel_half
+    # nodes and samples in units of their row's bandwidth
+    node_row = np.repeat(panel_row, _GL_NODES.size)
+    nodes = (centre[:, None] + panel_half[:, None] * _GL_NODES).ravel() / h[node_row]
+    scaled = work / h[:, None]
+
+    density = np.empty(nodes.size)
+    block = max(1, KDE_BLOCK_BYTES // (8 * n))
+    z = np.empty((min(block, nodes.size), n))
+    for start in range(0, nodes.size, block):
+        stop = min(start + block, nodes.size)
+        zb = z[:stop - start]
+        np.take(scaled, node_row[start:stop], axis=0, out=zb)
+        zb -= nodes[start:stop, None]
+        zb *= zb
+        zb *= -0.5
+        np.exp(zb, out=zb)
+        zb.sum(axis=1, out=density[start:stop])
+    density *= (1.0 / (n * _SQRT_2PI * h))[node_row]
+    integrand = -xlogy(density, density).reshape(-1, _GL_NODES.size)
+    panel_value = (integrand * _GL_WEIGHTS).sum(axis=1) * panel_half
+    values = np.bincount(panel_row, weights=panel_value, minlength=rows)
+    if not np.all(np.isfinite(values)):
+        raise QuadratureError(
+            "KDE entropy integrand is not finite inside the range",
+            value=float("nan"), error_estimate=float("inf"),
+        )
+    return values
+
+
 def de_kde(
     data,
     bw: BandwidthSpec,
     support: Support,
     *,
-    tol: float = DEFAULT_TOL,
     range_multiple: float | None = None,
 ) -> EntropyEstimate:
     """Kernel plug-in entropy over the quantile-based integration range.
 
     On positive support the kernel smooths y = ln(x) and the estimate is
-    -∫ g ln g dy + mean(y).  ``range_multiple`` overrides the default
-    bandwidth multiple of the integration-range rule (tail-sensitivity
-    studies; the ln-space identity is exact only as the range widens, since
-    the mean term integrates the kernel tails in full).
+    -∫ g ln g dy + mean(y).  The integral is the fixed Gauss–Legendre rule
+    of ``_kde_entropy_rows`` (one row).  ``range_multiple`` overrides the
+    default bandwidth multiple of the integration-range rule
+    (tail-sensitivity studies; the ln-space identity is exact only as the
+    range widens, since the mean term integrates the kernel tails in full).
     """
     data = np.asarray(data, dtype=float)
     if support is Support.POSITIVE:
@@ -148,15 +214,9 @@ def de_kde(
         rng = entropy_range(data, bw.h, support)
     else:
         rng = entropy_range(data, bw.h, support, m=range_multiple)
-    h = bw.h
-    norm = 1.0 / (working.size * h * _SQRT_2PI)
-
-    def integrand(pts):
-        z = (pts[:, None] - working[None, :]) / h
-        t = np.exp(-0.5 * z * z).sum(axis=1) * norm
-        return -xlogy(t, t)
-
-    value = integrate(integrand, rng, tol) + shift
+    value = _kde_entropy_rows(
+        working[None, :], np.array([bw.h]), np.array([rng.lower]), np.array([rng.upper]),
+    )[0] + shift
     return EntropyEstimate(float(value), EstimatorKind.KDE, scale, bandwidth=bw)
 
 

@@ -3,13 +3,15 @@
 The integrator pairs the 7-point Gauss rule with its 15-point Kronrod
 extension on each panel and bisects panels whose |K15 - G7| discrepancy
 exceeds their width-share of the tolerance.  All panels pending in a round
-are evaluated in one vectorized call, which keeps the per-integral cost flat
-even when the integrand is an n-term kernel mixture.
+are evaluated in one vectorized call.  It serves the model-density entropy
+oracle ``entropy._de_ml_quadrature`` and the tests; the KDE entropy uses a
+fixed Gauss–Legendre rule of its own (``entropy._kde_entropy_rows``).
 
 Integration ranges for entropy functionals follow the quantile rule: the
 0.001 and 0.999 sample quantiles, pushed out by a fixed multiple of the
 bandwidth, on the raw scale for real-supported data and on the ln scale for
-positive-supported data.
+positive-supported data.  ``range_bounds`` is that rule for the rows of a
+(rows, n) array.
 """
 from __future__ import annotations
 
@@ -186,5 +188,15 @@ def entropy_range(
         scale = Scale.RAW
     if np.min(working) == np.max(working):
         raise DegenerateDataError("all observations are identical")
-    q_low, q_high = np.quantile(working, [0.001, 0.999], method="linear")
-    return IntegrationRange(float(q_low - m * h), float(q_high + m * h), scale)
+    lower, upper = range_bounds(working, h, m)
+    return IntegrationRange(float(lower), float(upper), scale)
+
+
+def range_bounds(working, h, m: float = RANGE_BANDWIDTH_MULTIPLE):
+    """(q(.001) - m h, q(.999) + m h) along the last axis of ``working``.
+
+    The rule of ``entropy_range`` without its checks, for one sample or for
+    the rows of a (rows, n) array with one bandwidth per row.
+    """
+    q_low, q_high = np.quantile(working, [0.001, 0.999], axis=-1, method="linear")
+    return q_low - m * h, q_high + m * h

@@ -92,8 +92,7 @@ def test_criterion_2_ln_space_identity():
                            shape=stats, regime=Regime.RIGHT_SKEWED_POSITIVE)
         # the identity is exact on matched domains wide enough that kernel
         # tails are fully integrated; m=12 puts truncation below 1e-30
-        ln_value = d.de_kde(data, bw, Support.POSITIVE, tol=1e-10,
-                            range_multiple=12.0).value
+        ln_value = d.de_kde(data, bw, Support.POSITIVE, range_multiple=12.0).value
 
         norm = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
 

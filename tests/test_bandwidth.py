@@ -179,3 +179,36 @@ def test_unrelated_kurtosis_error_propagates(monkeypatch):
     data = sample(fitted, 120, substream("bw-propagate"))
     with pytest.raises(ZeroDivisionError):
         select_bandwidth(FamilyId.GAMMA, fitted, data)
+
+
+def test_sample_shape_matches_central_moments():
+    from ddetest.bandwidth import _sample_shape
+
+    x = substream("bw-shape").gamma(2.0, 3.0, 500)
+    d = x - x.mean()
+    m2, m3, m4 = (np.mean(d ** k) for k in (2, 3, 4))
+    sigma, skew, kurt = _sample_shape(x)
+    assert sigma == pytest.approx(np.sqrt(m2), rel=1e-14)
+    assert skew == pytest.approx(m3 / m2 ** 1.5, rel=1e-13)
+    assert kurt == pytest.approx(m4 / m2 ** 2, rel=1e-13)
+
+
+def test_non_finite_working_variance_is_a_data_error():
+    fitted = FittedModel(FamilyId.LAPLACE, (0.0, 1.0))
+    data = np.array([-1e300, 1e300, 0.0, 5.0, -3.0])
+    with pytest.raises(DataError, match="not finite"):
+        select_bandwidth(FamilyId.LAPLACE, fitted, data)
+    with pytest.raises(DataError, match="not finite"):
+        classify_regime(FamilyId.LAPLACE, data)
+
+
+@pytest.mark.parametrize("family", [FamilyId.NORMAL, FamilyId.LAPLACE])
+def test_huge_scale_data_runs_to_a_result(family):
+    # the third and fourth moments of faithful-hardle x 1e150 overflow
+    # unless they are taken on the standardized sample
+    from ddetest import load_dataset, run_test
+
+    data = load_dataset("faithful-hardle").values * 1e150
+    res = run_test(family, data, n_boot=20, seed=1)
+    assert np.isfinite(res.observed_dde) and res.boot.values.size == 20
+    assert np.isfinite(res.bandwidth.shape.kappa_hat)

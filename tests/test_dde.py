@@ -228,6 +228,38 @@ def test_nonfinite_refits_abort_with_fit_error(monkeypatch):
     assert info.value.exit_code == 4
 
 
+@pytest.mark.parametrize("model", [
+    FittedModel(FamilyId.GAMMA, (2.0, 1.5), n_fit=80),
+    FittedModel(FamilyId.LAPLACE, (1.0, 2.0), n_fit=80),
+])
+def test_bootstrap_values_byte_identical_across_threads(model):
+    runs = [bootstrap_null(model, 80, 37, seed=21, threads=t) for t in (1, 2, 3)]
+    assert all(b.values.size == 37 for b in runs)
+    assert runs[1].values.tobytes() == runs[0].values.tobytes()
+    assert runs[2].values.tobytes() == runs[0].values.tobytes()
+
+
+def test_bootstrap_value_is_the_observed_statistic_of_its_sample():
+    # a replicate's batched DDE equals dde_statistic on the same draw
+    fitted = FittedModel(FamilyId.GAMMA, (2.0, 1.5), n_fit=60)
+    boot = bootstrap_null(fitted, 60, 3, seed=5)
+    for r in range(3):
+        x = sample(fitted, 60, substream(5, "boot", r, 0))
+        refit = fit_mle(FamilyId.GAMMA, x)
+        bw = select_bandwidth(FamilyId.GAMMA, refit, x)
+        assert boot.values[r] == dde_statistic(refit, x, bw)
+
+
+@pytest.mark.parametrize("family", [FamilyId.NORMAL, FamilyId.LAPLACE])
+def test_near_degenerate_data_complete(family):
+    # 30 values spread over 1e-12 around 1: the adaptive integrator could
+    # not reach its tolerance on these bootstrap samples
+    data = 1.0 + 1e-12 * substream("near-degenerate").normal(0.0, 1.0, 30)
+    res = run_test(family, data, n_boot=100, seed=3)
+    assert res.boot.values.size == 100 and np.all(np.isfinite(res.boot.values))
+    assert 0.0 < res.p_value <= 1.0
+
+
 def test_bootstrap_validates_sizes():
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     with pytest.raises(UsageError):

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import xlogy
 
 from ddetest import (
     FamilyId, FittedModel, de_kde, de_ml, fit_mle, kde_pdf, kde_smoothing_bias,
@@ -10,10 +11,12 @@ from ddetest import (
 )
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
-from ddetest.entropy import DEFAULT_TOL, EntropyEstimate, EstimatorKind, _de_ml_quadrature
+from ddetest.entropy import (
+    DEFAULT_TOL, EntropyEstimate, EstimatorKind, _de_ml_quadrature, _kde_entropy_rows,
+)
 from ddetest.errors import InvalidParameterError
-from ddetest.families import Support
-from ddetest.quadrature import IntegrationRange, Scale, integrate
+from ddetest.families import Support, get_family
+from ddetest.quadrature import IntegrationRange, Scale, entropy_range, integrate, range_bounds
 from ddetest.special import digamma
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -127,7 +130,7 @@ def test_change_of_variables_identity():
     data = sample(FittedModel(FamilyId.GAMMA, (3.0, 1.0)), 200, substream("cov", 3))
     fitted = fit_mle(FamilyId.GAMMA, data)
     bw = select_bandwidth(FamilyId.GAMMA, fitted, data)
-    est = de_kde(data, bw, Support.POSITIVE, tol=1e-10, range_multiple=12.0)
+    est = de_kde(data, bw, Support.POSITIVE, range_multiple=12.0)
 
     y = np.log(data)
     h = bw.h
@@ -181,6 +184,81 @@ def test_de_kde_requires_matching_scale():
     data = np.abs(substream("dekde-mis").normal(0.0, 1.0, 50)) + 0.1
     with pytest.raises(InvalidParameterError):
         de_kde(data, _bw(0.3, 50, Scale.RAW), Support.POSITIVE)
+
+
+def _kde_rows_case(n, tag):
+    """Five rows of n draws (normal, Cauchy, shifted normal, exponential,
+    Laplace) with mixed bandwidths and their entropy ranges."""
+    rng = substream("kde-rows", tag, n)
+    work = np.vstack([
+        rng.normal(0.0, 1.0, n), rng.standard_cauchy(n), rng.normal(10.0, 3.0, n),
+        rng.exponential(1.0, n), rng.laplace(0.0, 2.0, n),
+    ])
+    h = np.array([0.3, 2.0, 0.9, 0.05, 1.5])
+    lower, upper = range_bounds(work, h)
+    return work, h, lower, upper
+
+
+@pytest.mark.parametrize("n", [5, 100, 3000])
+def test_kde_rows_bit_identical_alone_or_in_any_chunk(n):
+    work, h, lower, upper = _kde_rows_case(n, 0)
+    full = _kde_entropy_rows(work, h, lower, upper)
+    assert np.all(np.isfinite(full))
+    for a in range(work.shape[0]):
+        for b in range(a + 1, work.shape[0] + 1):
+            part = _kde_entropy_rows(work[a:b].copy(), h[a:b], lower[a:b], upper[a:b])
+            assert part.tobytes() == full[a:b].tobytes(), (a, b)
+    # the range of each row is the one entropy_range gives it alone
+    for r in range(work.shape[0]):
+        rng = entropy_range(work[r], h[r], Support.REAL)
+        assert (rng.lower, rng.upper) == (lower[r], upper[r])
+
+
+def test_kde_rows_bit_identical_across_kernel_blocks(monkeypatch):
+    # a smaller block cap splits rows across kernel blocks differently
+    import ddetest.entropy as entropy_mod
+
+    work, h, lower, upper = _kde_rows_case(100, 1)
+    full = _kde_entropy_rows(work, h, lower, upper)
+    for cap in (8 * 100, 8 * 100 * 7, 8 * 100 * 64):
+        monkeypatch.setattr(entropy_mod, "KDE_BLOCK_BYTES", cap)
+        assert _kde_entropy_rows(work, h, lower, upper).tobytes() == full.tobytes()
+
+
+def _de_kde_oracle(data, bw, support):
+    """de_kde's integral by the adaptive integrator at tol 1e-12."""
+    working = np.log(data) if support is Support.POSITIVE else data
+    shift = float(np.mean(working)) if support is Support.POSITIVE else 0.0
+    norm = 1.0 / (working.size * bw.h * math.sqrt(2.0 * math.pi))
+
+    def integrand(pts):
+        z = (pts[:, None] - working[None, :]) / bw.h
+        t = np.exp(-0.5 * z * z).sum(axis=1) * norm
+        return -xlogy(t, t)
+
+    return integrate(integrand, entropy_range(data, bw.h, support), tol=1e-12) + shift
+
+
+@pytest.mark.parametrize("family,data_model", [
+    (FamilyId.NORMAL, FittedModel(FamilyId.NORMAL, (0.0, 1.0))),
+    (FamilyId.LAPLACE, FittedModel(FamilyId.LAPLACE, (0.0, 1.0))),
+    (FamilyId.GAMMA, FittedModel(FamilyId.GAMMA, (2.0, 1.0))),
+    (FamilyId.NORMAL, FittedModel(FamilyId.CAUCHY, (0.0, 1.0))),
+])
+def test_fixed_rule_de_kde_matches_adaptive_oracle(family, data_model):
+    support = get_family(family).support
+    for n in (50, 100, 500):
+        for i in range(3):
+            x = sample(data_model, n, substream("kde-oracle", family.value, n, i))
+            bw = select_bandwidth(family, fit_mle(family, x), x)
+            assert abs(de_kde(x, bw, support).value - _de_kde_oracle(x, bw, support)) <= 1e-8
+
+
+def test_fixed_rule_de_kde_matches_adaptive_oracle_large_ln_space():
+    x = substream("kde-oracle", "n20000").lognormal(1.0, 0.5, 20_000)
+    bw = select_bandwidth(FamilyId.GAMMA, fit_mle(FamilyId.GAMMA, x), x)
+    value = de_kde(x, bw, Support.POSITIVE).value
+    assert abs(value - _de_kde_oracle(x, bw, Support.POSITIVE)) <= 1e-8
 
 
 # --------------------------------------------------------------------------
