@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DataError, DegenerateDataError, InvalidParameterError, SupportError
-from .families import FamilyId, FittedModel, Support, get_family, null_kurtosis
+from .families import FamilyId, FittedModel, Support, _mean, get_family, null_kurtosis
 from .quadrature import Scale
 
 C_BOUNDS = (0.85, 1.15)
@@ -76,9 +76,9 @@ def _sample_shape(x: np.ndarray) -> tuple[float, float, float]:
     The third and fourth moments are taken on the standardized sample, so
     they cannot overflow where the variance does not.
     """
-    d = x - np.mean(x)
+    d = x - _mean(x)
     with np.errstate(over="ignore"):
-        m2 = float(np.mean(d * d))
+        m2 = float(_mean(d * d))
     if not math.isfinite(m2):
         raise DataError("variance on the working scale is not finite")
     if m2 <= 0.0:
@@ -86,7 +86,7 @@ def _sample_shape(x: np.ndarray) -> tuple[float, float, float]:
     sigma = math.sqrt(m2)
     u = d / sigma
     u2 = u * u
-    return sigma, float(np.mean(u2 * u)), float(np.mean(u2 * u2))
+    return sigma, float(_mean(u2 * u)), float(_mean(u2 * u2))
 
 
 def _working_data(null_family: FamilyId, data: np.ndarray) -> tuple[np.ndarray, Scale]:

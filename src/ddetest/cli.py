@@ -73,7 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default from --config or {DEFAULT_SEED})")
     common.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker count (default: DDETEST_THREADS or all cores)")
+                        help="worker processes, one pool per run: test spreads "
+                             "bootstrap replicate chunks over them, simulate spreads "
+                             "Monte Carlo reps (each bootstrap then serial) "
+                             "(default: DDETEST_THREADS, else the cores this "
+                             "process may run on)")
     common.add_argument("--config", default=None,
                         help="optional JSON config file; flags override its values")
 

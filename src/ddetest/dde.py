@@ -19,6 +19,13 @@ Every replicate draws from a stream that is a pure function of
 group of replicates at once are bit-identical to computing each alone, so
 results are bit-identical regardless of how replicates are scheduled across
 workers.
+
+Parallelism happens at one level, with one process pool.  A lone test
+(``ddetest test``) spreads chunks of bootstrap replicates over ``threads``
+workers; a Monte Carlo experiment (``montecarlo.run_experiment``) instead
+spreads whole tests over its workers and runs each bootstrap serially.  Both
+go through ``_ordered_map``.  The default worker count is the number of cores
+this process may run on (``resolve_threads``).
 """
 from __future__ import annotations
 
@@ -135,7 +142,8 @@ def _replicate_batch(args) -> np.ndarray:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Explicit value, else DDETEST_THREADS, else all cores."""
+    """Explicit value, else DDETEST_THREADS, else the cores this process may
+    run on."""
     if threads is not None:
         if threads < 1:
             raise UsageError(f"threads must be >= 1, got {threads}")
@@ -143,10 +151,37 @@ def resolve_threads(threads: int | None) -> int:
     env = os.environ.get("DDETEST_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            value = int(env)
         except ValueError as exc:
             raise UsageError(f"DDETEST_THREADS is not an integer: {env!r}") from exc
-    return os.cpu_count() or 1
+        if value < 1:
+            raise UsageError(f"DDETEST_THREADS must be >= 1, got {value}")
+        return value
+    try:  # CPU affinity, so taskset and cgroup cpusets count
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _ordered_map(fn, tasks, threads: int):
+    """Yield ``fn(task)`` for each task, in task order.
+
+    Serial (in this process, one task at a time) at ``threads <= 1`` or for
+    a single task; otherwise over one process pool of at most
+    ``min(threads, len(tasks))`` workers.  Closing the generator early
+    cancels the tasks that have not started.
+    """
+    tasks = list(tasks)
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        for task in tasks:
+            yield fn(task)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        yield from pool.map(fn, tasks)
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def bootstrap_null(
@@ -174,17 +209,10 @@ def bootstrap_null(
             f"bootstrap sample size {n} is below the minimum fit size "
             f"{fam.min_fit_size} for {fam.family_id.value}"
         )
-    if threads <= 1 or n_boot < 8:
-        values = _replicate_batch((fitted, n, seed, 0, n_boot, theta_fixed))
-    else:
-        chunk = max(1, math.ceil(n_boot / (threads * 4)))
-        spans = [(s, min(s + chunk, n_boot)) for s in range(0, n_boot, chunk)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(
-                _replicate_batch,
-                [(fitted, n, seed, s, e, theta_fixed) for s, e in spans],
-            ))
-        values = np.concatenate(parts)
+    chunk = n_boot if threads <= 1 or n_boot < 8 else math.ceil(n_boot / (threads * 4))
+    tasks = [(fitted, n, seed, s, min(s + chunk, n_boot), theta_fixed)
+             for s in range(0, n_boot, chunk)]
+    values = np.concatenate(list(_ordered_map(_replicate_batch, tasks, threads)))
     failed = int(np.count_nonzero(np.isnan(values)))
     if failed > _MAX_FAILURE_FRACTION * n_boot:
         raise FitError(

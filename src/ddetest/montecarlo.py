@@ -19,13 +19,19 @@ Lomax(3, 4) is (shape, scale) with mean 2 and variance 12: no Lomax with
 mean 2 attains variance 4 (the infimum as shape grows), so only the mean
 target is met there.  Analytic means/variances are exposed via
 ``dgp_moments`` and verified against large-sample draws in the test suite.
+
+An experiment parallelizes over its Monte Carlo reps: ``run_experiment``
+spreads the (n, rep) grid over one pool of ``threads`` workers and runs each
+test's bootstrap serially, where a lone test spreads its bootstrap replicates
+instead (see ``dde``).  The CLI's default worker count is DDETEST_THREADS,
+else the cores this process may run on.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 
-from .dde import run_test
+from .dde import _ordered_map, run_test
 from .errors import DdeError, UsageError
 from .families import FamilyId, FittedModel, get_family, sample
 from .streams import stable_seed, substream
@@ -143,53 +149,72 @@ class SimReport:
 _CELL_FAILURE_FRACTION = 0.02
 
 
+def _run_rep(task) -> bool | None:
+    """One Monte Carlo rep: draw its data and test it, with the bootstrap run
+    serially; the reject flag, or None if the test failed."""
+    spec, label, n, rep = task
+    data_stream = substream(
+        spec.master_seed, "mc", spec.null_family.value, label, n, rep, "data"
+    )
+    data = sample(spec.dgp, n, data_stream)
+    test_seed = stable_seed(
+        spec.master_seed, "mc", spec.null_family.value, label, n, rep, "test"
+    )
+    try:
+        res = run_test(
+            spec.null_family, data, alpha=spec.alpha,
+            n_boot=spec.n_boot, seed=test_seed, threads=1,
+        )
+    except DdeError:
+        return None
+    return res.reject
+
+
 def run_experiment(spec: ExperimentSpec, *, threads: int = 1,
                    progress=None) -> SimReport:
     """Rejection rates for one (null, dgp) pair across the sample-size grid.
 
     Every replicate's data stream and test seed derive from
     (master_seed, null, dgp, n, rep), so the report is bit-reproducible
-    regardless of execution order.  A cell aborts if more than 2% of its
-    replicates fail.
+    regardless of execution order.  The whole (n, rep) grid is spread over
+    one pool of ``threads`` workers, each rep a whole test whose bootstrap
+    runs serially; at ``threads=1`` it runs in this process.  Results are
+    taken in (n, rep) order, and ``progress`` is called once per completed
+    rep in that order.  A cell aborts if more than 2% of its replicates
+    fail; reps not yet started are then cancelled.
     """
     label = dgp_label(spec.dgp)
+    tasks = [(spec, label, n, rep) for n in spec.n_grid for rep in range(spec.reps)]
+    results = _ordered_map(_run_rep, tasks, threads)
     cells = []
-    for n in spec.n_grid:
-        rejections = 0
-        completed = 0
-        failed = 0
-        for rep in range(spec.reps):
-            data_stream = substream(
-                spec.master_seed, "mc", spec.null_family.value, label, n, rep, "data"
-            )
-            data = sample(spec.dgp, n, data_stream)
-            test_seed = stable_seed(
-                spec.master_seed, "mc", spec.null_family.value, label, n, rep, "test"
-            )
-            try:
-                res = run_test(
-                    spec.null_family, data, alpha=spec.alpha,
-                    n_boot=spec.n_boot, seed=test_seed, threads=threads,
-                )
-            except DdeError:
-                failed += 1
-                if failed > _CELL_FAILURE_FRACTION * spec.reps:
-                    raise DdeError(
-                        f"cell ({spec.null_family.value}, {label}, n={n}) aborted: "
-                        f"{failed} replicate failures out of {spec.reps}"
-                    )
-                continue
-            completed += 1
-            rejections += int(res.reject)
-            if progress is not None:
-                progress(spec.null_family.value, label, n, rep)
-        rate = rejections / completed if completed else float("nan")
-        mc_se = math.sqrt(rate * (1.0 - rate) / completed) if completed else float("nan")
-        cells.append(SimCell(
-            null_family=spec.null_family, dgp=label, n=n,
-            reps_requested=spec.reps, reps_completed=completed,
-            rejections=rejections, rate=rate, mc_se=mc_se,
-        ))
+    try:
+        for n in spec.n_grid:
+            rejections = 0
+            completed = 0
+            failed = 0
+            for rep in range(spec.reps):
+                reject = next(results)
+                if reject is None:
+                    failed += 1
+                    if failed > _CELL_FAILURE_FRACTION * spec.reps:
+                        raise DdeError(
+                            f"cell ({spec.null_family.value}, {label}, n={n}) aborted: "
+                            f"{failed} replicate failures out of {spec.reps}"
+                        )
+                    continue
+                completed += 1
+                rejections += int(reject)
+                if progress is not None:
+                    progress(spec.null_family.value, label, n, rep)
+            rate = rejections / completed if completed else float("nan")
+            mc_se = math.sqrt(rate * (1.0 - rate) / completed) if completed else float("nan")
+            cells.append(SimCell(
+                null_family=spec.null_family, dgp=label, n=n,
+                reps_requested=spec.reps, reps_completed=completed,
+                rejections=rejections, rate=rate, mc_se=mc_se,
+            ))
+    finally:
+        results.close()
     return SimReport(cells=cells)
 
 

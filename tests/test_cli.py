@@ -172,3 +172,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "ddetest" in proc.stdout
+
+
+def test_python_dash_m_package_runs_the_cli():
+    # `python -m ddetest` from a checkout, as the Tier-1 command line sets it up
+    import ddetest
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddetest.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "ddetest", "datasets"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert FIXTURE in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "ddetest", "test", "--family", "zeta",
+                           "--data", FIXTURE],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from ddetest import (
     FamilyId, FittedModel, bootstrap_null, critical_interval, dde_statistic,
     de_kde, de_ml, fit_mle, p_value, run_test, sample, select_bandwidth, substream,
 )
-from ddetest.dde import BootstrapDistribution
+from ddetest.dde import BootstrapDistribution, resolve_threads
 from ddetest.errors import DataError, FitError, UsageError
 from ddetest.families import Support
 
@@ -291,6 +292,44 @@ def test_run_test_thread_count_invariance():
     b = run_test(FamilyId.EXPONENTIAL, data, n_boot=64, seed=3, threads=4)
     assert a.p_value == b.p_value
     assert np.array_equal(a.boot.values, b.boot.values)
+
+
+# --------------------------------------------------------------------------
+# worker count
+# --------------------------------------------------------------------------
+
+def test_resolve_threads_default_is_the_cores_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("DDETEST_THREADS", raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert resolve_threads(None) == 3
+
+
+def test_resolve_threads_falls_back_to_cpu_count(monkeypatch):
+    monkeypatch.delenv("DDETEST_THREADS", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert resolve_threads(None) == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_threads(None) == 1
+
+
+def test_resolve_threads_explicit_then_environment(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("DDETEST_THREADS", "5")
+    assert resolve_threads(None) == 5
+    assert resolve_threads(3) == 3
+    monkeypatch.setenv("DDETEST_THREADS", "")
+    assert resolve_threads(None) == 2
+    with pytest.raises(UsageError):
+        resolve_threads(0)
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5"])
+def test_resolve_threads_rejects_bad_environment(monkeypatch, value):
+    monkeypatch.setenv("DDETEST_THREADS", value)
+    with pytest.raises(UsageError, match="DDETEST_THREADS"):
+        resolve_threads(None)
 
 
 def test_run_test_alpha_validation():

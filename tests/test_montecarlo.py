@@ -5,7 +5,7 @@ import pytest
 from ddetest import FamilyId, dgp_moments, sample, substream
 from ddetest.errors import UsageError
 from ddetest.montecarlo import (
-    ExperimentSpec, NULL_MEMBERS, SIMULATED_NULLS, dgp_label, run_experiment,
+    ExperimentSpec, NULL_MEMBERS, SIMULATED_NULLS, SimCell, dgp_label, run_experiment,
     table4_alternatives, table4_campaign,
 )
 
@@ -151,3 +151,135 @@ def test_campaign_is_size_row_plus_alternatives():
     assert specs[0].dgp == NULL_MEMBERS[FamilyId.NORMAL]
     # 4 sizes x 5 dgps = 20 cells = 16 power + 4 size
     assert sum(len(s.n_grid) for s in specs) == 20
+
+
+# --------------------------------------------------------------------------
+# one process pool per experiment
+# --------------------------------------------------------------------------
+
+def _pool_spec(n_grid=(30, 60), reps=3, master_seed=4):
+    return ExperimentSpec(FamilyId.EXPONENTIAL, NULL_MEMBERS[FamilyId.EXPONENTIAL],
+                          n_grid, reps=reps, n_boot=20, alpha=0.1, master_seed=master_seed)
+
+
+def test_experiment_opens_one_pool_and_no_pool_inside_a_worker(monkeypatch):
+    import os
+    from concurrent.futures import ProcessPoolExecutor
+
+    import ddetest.dde as dde_mod
+
+    parent = os.getpid()
+    opened = []
+
+    class CountedPool(ProcessPoolExecutor):
+        # forked workers inherit this class: a pool opened inside one raises,
+        # which fails that rep and run_experiment with it
+        def __init__(self, max_workers):
+            if os.getpid() != parent:
+                raise RuntimeError("process pool opened inside a pool worker")
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(dde_mod, "ProcessPoolExecutor", CountedPool)
+    spec = _pool_spec()
+    pooled = run_experiment(spec, threads=2)
+    assert opened == [2]
+    assert run_experiment(spec, threads=1).cells == pooled.cells
+    assert opened == [2]  # threads=1 opens none
+    run_experiment(_pool_spec(n_grid=(30,), reps=1), threads=4)
+    assert opened == [2]  # nor does a single rep
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_progress_once_per_completed_rep_in_grid_order(threads):
+    spec = _pool_spec()
+    calls = []
+    run_experiment(spec, threads=threads, progress=lambda *a: calls.append(a))
+    label = dgp_label(spec.dgp)
+    assert calls == [("exponential", label, n, rep) for n in (30, 60) for rep in range(3)]
+
+
+def _injected_failures(monkeypatch, spec, bad_reps, log=None):
+    """Replace run_test by a stand-in that fails on the (n, rep) pairs in
+    ``bad_reps`` and otherwise rejects when its seed is divisible by 3."""
+    import time
+    from types import SimpleNamespace
+
+    import ddetest.montecarlo as mc_mod
+    from ddetest.errors import FitError
+    from ddetest.streams import stable_seed
+
+    label = dgp_label(spec.dgp)
+    bad = {stable_seed(spec.master_seed, "mc", spec.null_family.value, label, n, rep, "test")
+           for n, rep in bad_reps}
+
+    def fake_run_test(family, data, *, seed, **kwargs):
+        assert kwargs["threads"] == 1
+        if log is not None:
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{seed}\n")
+            time.sleep(0.01)
+        if seed in bad:
+            raise FitError("injected")
+        return SimpleNamespace(reject=seed % 3 == 0)
+
+    monkeypatch.setattr(mc_mod, "run_test", fake_run_test)
+
+
+def test_failed_reps_give_the_same_report_at_any_thread_count(monkeypatch):
+    # 2% of 50 reps: one failure per cell is tolerated
+    spec = _pool_spec(n_grid=(30, 60, 90), reps=50)
+    _injected_failures(monkeypatch, spec, {(30, 0), (60, 49), (90, 17)})
+    runs = []
+    for threads in (1, 2):
+        calls = []
+        report = run_experiment(spec, threads=threads, progress=lambda *a: calls.append(a))
+        runs.append((report.cells, calls))
+    assert runs[0] == runs[1]
+    cells, calls = runs[0]
+    assert [c.reps_completed for c in cells] == [49, 49, 49]
+    assert len(calls) == 147 and (30, 0) not in [(c[2], c[3]) for c in calls]
+    assert 0 < sum(c.rejections for c in cells) < 147
+
+
+def test_cell_abort_message_is_the_same_at_any_thread_count(monkeypatch):
+    from ddetest.errors import DdeError
+
+    spec = _pool_spec(n_grid=(30, 60, 90), reps=50)
+    _injected_failures(monkeypatch, spec, {(30, 3), (60, 10), (60, 20), (90, 0)})
+    outcomes = []
+    for threads in (1, 2):
+        calls = []
+        with pytest.raises(DdeError, match="aborted") as exc:
+            run_experiment(spec, threads=threads, progress=lambda *a: calls.append(a))
+        outcomes.append((str(exc.value), calls))
+    assert outcomes[0] == outcomes[1]
+    message, calls = outcomes[0]
+    assert message == (f"cell (exponential, {dgp_label(spec.dgp)}, n=60) aborted: "
+                       "2 replicate failures out of 50")
+    assert len(calls) == 49 + 19
+
+
+def test_abort_cancels_reps_not_yet_started(monkeypatch, tmp_path):
+    from ddetest.errors import DdeError
+
+    spec = _pool_spec(n_grid=(30, 60, 90), reps=50)
+    log = tmp_path / "started.txt"
+    _injected_failures(monkeypatch, spec, {(30, 0), (30, 1)}, log=log)
+    with pytest.raises(DdeError, match="n=30"):
+        run_experiment(spec, threads=2)
+    # the abort comes after the second rep; the other 148 are not waited on
+    assert len(log.read_text().splitlines()) < 75
+
+
+def test_multi_size_report_thread_invariant_and_pinned():
+    # values from the serial loop before reps ran in a pool
+    spec = ExperimentSpec(FamilyId.GAMMA, table4_alternatives(FamilyId.GAMMA)[3],
+                          (30, 60), reps=10, n_boot=40, alpha=0.1, master_seed=5)
+    label = "lognormal(0.9548,0.287682)"
+    expected = [
+        SimCell(FamilyId.GAMMA, label, 30, 10, 10, 6, 0.6, 0.15491933384829668),
+        SimCell(FamilyId.GAMMA, label, 60, 10, 10, 6, 0.6, 0.15491933384829668),
+    ]
+    for threads in (1, 2, 3):
+        assert run_experiment(spec, threads=threads).cells == expected
