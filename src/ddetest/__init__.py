@@ -13,10 +13,7 @@ from .dde import (
     dde_statistic, p_value, run_test,
 )
 from .datasets import Dataset, load_dataset
-from .entropy import (
-    EntropyEstimate, EstimatorKind, de_kde, de_ml, kde_pdf, kde_smoothing_bias,
-    ml_entropy_bias,
-)
+from .entropy import de_kde, de_ml, kde_pdf, kde_smoothing_bias, ml_entropy_bias
 from .errors import (
     DataError, DdeError, DegenerateDataError, FitError, InvalidParameterError,
     NumericError, QuadratureError, SupportError, UsageError,
@@ -36,16 +33,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BandwidthSpec", "BootstrapDistribution", "DataError", "Dataset", "DdeError",
-    "DdeResult", "DegenerateDataError", "EntropyEstimate", "EstimatorKind",
-    "ExperimentSpec", "Family", "FamilyId", "FitError", "FittedModel",
-    "IntegrationRange", "InvalidParameterError", "NULL_MEMBERS", "NumericError",
-    "QuadratureError", "Regime", "Scale", "ShapeStats", "SimCell", "SimReport",
-    "Support", "SupportError", "TESTABLE_NULLS", "UsageError", "bootstrap_null",
-    "classify_regime", "closed_form_entropy", "critical_interval", "dde_statistic",
-    "de_kde", "de_ml", "dgp_moments", "entropy_range", "fit_mle", "get_family",
-    "integrate", "kde_pdf", "kde_smoothing_bias", "load_dataset", "log_pdf",
-    "mean_log_likelihood", "ml_entropy_bias", "null_kurtosis", "p_value",
-    "run_test", "run_experiment", "sample", "select_bandwidth", "shape_multiplier",
-    "small_sample_inflation", "stable_seed", "substream", "table4_alternatives",
-    "table4_campaign", "__version__",
+    "DdeResult", "DegenerateDataError", "ExperimentSpec", "Family", "FamilyId",
+    "FitError", "FittedModel", "IntegrationRange", "InvalidParameterError",
+    "NULL_MEMBERS", "NumericError", "QuadratureError", "Regime", "Scale",
+    "ShapeStats", "SimCell", "SimReport", "Support", "SupportError",
+    "TESTABLE_NULLS", "UsageError", "bootstrap_null", "classify_regime",
+    "closed_form_entropy", "critical_interval", "dde_statistic", "de_kde", "de_ml",
+    "dgp_moments", "entropy_range", "fit_mle", "get_family", "integrate", "kde_pdf",
+    "kde_smoothing_bias", "load_dataset", "log_pdf", "mean_log_likelihood",
+    "ml_entropy_bias", "null_kurtosis", "p_value", "run_test", "run_experiment",
+    "sample", "select_bandwidth", "shape_multiplier", "small_sample_inflation",
+    "stable_seed", "substream", "table4_alternatives", "table4_campaign",
+    "__version__",
 ]

@@ -11,19 +11,22 @@ positive-supported nulls.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, InvalidParameterError, SupportError
+from .errors import (
+    DataError, DegenerateDataError, InvalidParameterError, RowFailures, SupportError,
+    first_failures, raise_row_failure, row_failures,
+)
 from .families import FamilyId, FittedModel, Support, _mean, get_family, null_kurtosis
 from .quadrature import Scale
 
 C_BOUNDS = (0.85, 1.15)
 KURTOSIS_TRUNCATION = (2.0, 10.0)
+MIN_SIZE = 4  # the smallest sample the rule takes
 
 
 class Regime(str, Enum):
@@ -65,47 +68,65 @@ def small_sample_inflation(n: int) -> float:
     return min(1.25 - 0.25 * (n - 50.0) / 50.0, 1.35)
 
 
-def truncate_kurtosis(kappa_hat: float) -> float:
-    lo, hi = KURTOSIS_TRUNCATION
-    return min(max(kappa_hat, lo), hi)
+def truncate_kurtosis(kappa_hat):
+    """τ(κ̂) = min{max(κ̂, 2), 10}, elementwise."""
+    return np.clip(kappa_hat, *KURTOSIS_TRUNCATION)
+
+
+def _shape_rows(x: np.ndarray) -> tuple[tuple, RowFailures]:
+    """(sigma, skewness, kurtosis) of each row, with divisor-n moments.
+
+    The third and fourth moments are taken on the standardized sample, so
+    they cannot overflow where the variance does not.  A row fails when its
+    variance is not finite or not > 0.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = x - _mean(x)[:, None]
+        m2 = _mean(u * u)
+        failures = first_failures(
+            row_failures(~np.isfinite(m2),
+                         lambda i: DataError("variance on the working scale is not finite")),
+            row_failures(m2 <= 0.0,
+                         lambda i: DegenerateDataError("zero variance on the working scale")),
+        )
+        sigma = np.sqrt(m2)
+        u /= sigma[:, None]
+        u2 = u * u
+        skew = _mean(np.multiply(u2, u, out=u))
+        kurt = _mean(np.multiply(u2, u2, out=u2))
+    return (sigma, skew, kurt), failures
 
 
 def _sample_shape(x: np.ndarray) -> tuple[float, float, float]:
-    """(sigma, skewness, kurtosis) with divisor-n moments.
-
-    The third and fourth moments are taken on the standardized sample, so
-    they cannot overflow where the variance does not.
-    """
-    d = x - _mean(x)
-    with np.errstate(over="ignore"):
-        m2 = float(_mean(d * d))
-    if not math.isfinite(m2):
-        raise DataError("variance on the working scale is not finite")
-    if m2 <= 0.0:
-        raise DegenerateDataError("zero variance on the working scale")
-    sigma = math.sqrt(m2)
-    u = d / sigma
-    u2 = u * u
-    return sigma, float(_mean(u2 * u)), float(_mean(u2 * u2))
+    """``_shape_rows`` of one sample."""
+    shape, failures = _shape_rows(np.asarray(x, dtype=float).reshape(1, -1))
+    raise_row_failure(failures)
+    return tuple(float(v[0]) for v in shape)
 
 
-def _working_data(null_family: FamilyId, data: np.ndarray) -> tuple[np.ndarray, Scale]:
+def _working_rows(null_family: FamilyId, rows: np.ndarray) -> tuple[np.ndarray, Scale, RowFailures]:
+    """The rows on the scale the KDE smooths (ln x on positive support), and
+    the rows with values outside the null's support."""
     fam = get_family(null_family)
-    if fam.support is Support.POSITIVE:
-        if np.min(data) <= 0.0:
-            raise SupportError(
-                f"{fam.family_id.value} null has positive support; data contain values <= 0"
-            )
-        return np.log(data), Scale.LN
-    return data, Scale.RAW
+    if fam.support is not Support.POSITIVE:
+        return rows, Scale.RAW, {}
+    failures = row_failures(rows.min(axis=1) <= 0.0, lambda i: SupportError(
+        f"{fam.family_id.value} null has positive support; data contain values <= 0"
+    ))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(rows), Scale.LN, failures
+
+
+def _near_gaussian(skew, kurt):
+    return (np.abs(skew) <= 0.5) & (2.0 <= kurt) & (kurt <= 4.0)
 
 
 def classify_regime(null_family: FamilyId | str, data) -> Regime:
     """Bandwidth regime for the null family given the observed sample."""
     fam = get_family(null_family)
     data = np.asarray(data, dtype=float)
-    if data.size < 4:
-        raise DataError("regime classification needs at least 4 observations")
+    if data.size < MIN_SIZE:
+        raise DataError(f"regime classification needs at least {MIN_SIZE} observations")
     if fam.family_id is FamilyId.NORMAL or fam.support is Support.POSITIVE:
         return _regime(fam.family_id, None)
     return _regime(fam.family_id, _sample_shape(data))
@@ -119,18 +140,43 @@ def _regime(null_family: FamilyId, shape: tuple[float, float, float] | None) -> 
     if get_family(null_family).support is Support.POSITIVE:
         return Regime.RIGHT_SKEWED_POSITIVE
     _, skew, kurt = shape
-    if abs(skew) <= 0.5 and 2.0 <= kurt <= 4.0:
-        return Regime.NEAR_GAUSSIAN
-    return Regime.NON_GAUSSIAN_REAL
+    return Regime.NEAR_GAUSSIAN if _near_gaussian(skew, kurt) else Regime.NON_GAUSSIAN_REAL
+
+
+def _multiplier(neutral, kappa0, kappa_hat):
+    """c, elementwise: 1 where ``neutral``, else 1 + 0.1 log2(κ0 / τ(κ̂))
+    clamped to C_BOUNDS."""
+    c = 1.0 + 0.1 * np.log2(kappa0 / truncate_kurtosis(kappa_hat))
+    return np.where(neutral, 1.0, np.clip(c, *C_BOUNDS))
 
 
 def shape_multiplier(regime: Regime, kappa0: float, kappa_hat: float) -> float:
     """The multiplier c for the given regime; clamped to [0.85, 1.15]."""
-    if regime in (Regime.GAUSSIAN, Regime.NEAR_GAUSSIAN):
-        return 1.0
-    c = 1.0 + 0.1 * math.log2(kappa0 / truncate_kurtosis(kappa_hat))
-    lo, hi = C_BOUNDS
-    return min(max(c, lo), hi)
+    return float(_multiplier(regime in (Regime.GAUSSIAN, Regime.NEAR_GAUSSIAN),
+                             kappa0, kappa_hat))
+
+
+def _bandwidth_rows(null_family: FamilyId, kappa0, working: np.ndarray):
+    """h = k(n) c σ̂ n^(-1/5) for each row of a (rows, n) working-scale array.
+
+    ``kappa0`` is the null-implied kurtosis of each row's fit (or one value
+    for all rows); NaN, for a null without one, gives neutral smoothing.
+    Rows must hold at least ``MIN_SIZE`` values.  Returns (h, c, the
+    ``_shape_rows`` statistics, failures).
+    """
+    fam = get_family(null_family)
+    n = working.shape[1]
+    shape, failures = _shape_rows(working)
+    _, skew, kurt = shape
+    if fam.family_id is FamilyId.NORMAL:
+        neutral = True
+    elif fam.support is Support.POSITIVE:
+        neutral = False
+    else:
+        neutral = _near_gaussian(skew, kurt)
+    c = _multiplier(neutral | np.isnan(kappa0), kappa0, kurt)
+    h = small_sample_inflation(n) * c * shape[0] * n ** (-0.2)
+    return h, c, shape, failures
 
 
 def select_bandwidth(
@@ -142,16 +188,15 @@ def select_bandwidth(
 
     The identical rule is applied to bootstrap samples (with the bootstrap
     refit supplying κ0), so the smoothing regime is anchored to the null in
-    both the observed and resampled worlds.
+    both the observed and resampled worlds.  The one-row call of
+    ``_bandwidth_rows``.
     """
     fam = get_family(null_family)
-    data = np.asarray(data, dtype=float)
-    if data.size < 4:
-        raise DataError("bandwidth selection needs at least 4 observations")
-    working, scale = _working_data(fam.family_id, data)
-    shape = _sample_shape(working)
-    sigma, skew, kurt = shape
-    regime = _regime(fam.family_id, shape)
+    data = np.asarray(data, dtype=float).reshape(1, -1)
+    if data.size < MIN_SIZE:
+        raise DataError(f"bandwidth selection needs at least {MIN_SIZE} observations")
+    working, scale, failures = _working_rows(fam.family_id, data)
+    raise_row_failure(failures)
     try:
         kappa0 = null_kurtosis(fitted)
     except InvalidParameterError:
@@ -161,15 +206,15 @@ def select_bandwidth(
             RuntimeWarning, stacklevel=2,
         )
         kappa0 = float("nan")
-        c = 1.0
-    else:
-        c = shape_multiplier(regime, kappa0, kurt)
+    h, c, shape, failures = _bandwidth_rows(fam.family_id, kappa0, working)
+    raise_row_failure(failures)
+    sigma, skew, kurt = (float(v[0]) for v in shape)
+    tau = float(truncate_kurtosis(kurt))
     n = int(data.size)
-    k_n = small_sample_inflation(n)
     stats = ShapeStats(
-        kappa_hat=kurt, skew_hat=skew, kappa0=kappa0,
-        tau=truncate_kurtosis(kurt), gamma_kurt=kappa0 / truncate_kurtosis(kurt),
+        kappa_hat=kurt, skew_hat=skew, kappa0=kappa0, tau=tau, gamma_kurt=kappa0 / tau,
         sigma_hat=sigma,
     )
-    h = k_n * c * sigma * n ** (-0.2)
-    return BandwidthSpec(h=h, c=c, k_n=k_n, n=n, scale=scale, shape=stats, regime=regime)
+    return BandwidthSpec(h=float(h[0]), c=float(c[0]), k_n=small_sample_inflation(n), n=n,
+                         scale=scale, shape=stats,
+                         regime=_regime(fam.family_id, (sigma, skew, kurt)))

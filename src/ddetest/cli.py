@@ -269,13 +269,13 @@ def _cmd_entropy(args) -> int:
         diag = None
         if fam.ml_bias is not None:
             diag = ml_entropy_bias(args.family, fitted, fitted.n_fit)
-        print(f"DE_ML[{fam.family_id.value}] = {_fmt(est.value)} nats")
+        print(f"DE_ML[{fam.family_id.value}] = {_fmt(est)} nats")
         for name, v in zip(fam.param_names, fitted.theta):
             print(f"  {name} = {_fmt(v)}")
         if diag is not None:
             print(f"  bias diagnostic = {_fmt(diag)} (not applied)")
         payload.update({"estimator": "ml", "family": args.family.value,
-                        "value": est.value, "theta": list(fitted.theta),
+                        "value": est, "theta": list(fitted.theta),
                         "bias_diag": diag})
     else:
         if args.null_family is None:
@@ -289,7 +289,7 @@ def _cmd_entropy(args) -> int:
             diag = kde_smoothing_bias(args.null_family, fitted, bw.h, ds.n, width)
         except DdeError:
             diag = None
-        print(f"DE_KDE = {_fmt(est.value)} nats ({bw.scale.value} scale, "
+        print(f"DE_KDE = {_fmt(est)} nats ({bw.scale.value} scale, "
               f"regime={bw.regime.value})")
         print(f"  h = {_fmt(bw.h)} = k_n({_fmt(bw.k_n)}) * c({_fmt(bw.c)}) * "
               f"sigma_hat({_fmt(bw.shape.sigma_hat)}) * n^-1/5")
@@ -299,7 +299,7 @@ def _cmd_entropy(args) -> int:
             print(f"  bias diagnostic = {_fmt(diag)} (not applied)")
         payload.update({
             "estimator": "kde", "null_family": args.null_family.value,
-            "value": est.value, "scale": bw.scale.value, "regime": bw.regime.value,
+            "value": est, "scale": bw.scale.value, "regime": bw.regime.value,
             "h": bw.h, "c": bw.c, "k_n": bw.k_n, "sigma_hat": bw.shape.sigma_hat,
             "kappa_hat": bw.shape.kappa_hat, "skew_hat": bw.shape.skew_hat,
             "kappa0": bw.shape.kappa0, "bias_diag": diag,

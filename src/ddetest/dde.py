@@ -14,11 +14,17 @@ and reads p-values and critical intervals off the bootstrap distribution:
 The reject flag follows the p-value rule (the exact finite-simulation rank
 test); the interval decision is reported alongside.
 
-Every replicate draws from a stream that is a pure function of
-(seed, replicate, attempt), and the KDE entropies a worker computes for a
-group of replicates at once are bit-identical to computing each alone, so
-results are bit-identical regardless of how replicates are scheduled across
-workers.
+The pipeline of a replicate runs row-wise over a group of replicates at
+once: the group's samples form a (rows, n) array, and the refit
+(``families._fit_rows``), the bandwidth rule (``bandwidth._bandwidth_rows``),
+DE_ML (the family's entropy over the fitted parameter columns) and DE_KDE
+(``entropy._kde_entropy_rows``) each run once per group.  ``fit_mle``,
+``select_bandwidth``, ``de_ml`` and ``de_kde`` are the one-row calls of the
+same code, which the observed statistic uses.  Every replicate draws from a
+stream that is a pure function of (seed, replicate, attempt), and every
+row-wise stage reduces along rows only, so a replicate's value is
+bit-identical alone or in any group, and results are bit-identical
+regardless of how replicates are scheduled across workers.
 
 Parallelism happens at one level, with one process pool.  A lone test
 (``ddetest test``) spreads chunks of bootstrap replicates over ``threads``
@@ -36,12 +42,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bandwidth import BandwidthSpec, select_bandwidth
+from .bandwidth import (
+    MIN_SIZE as MIN_BANDWIDTH_SIZE, BandwidthSpec, _bandwidth_rows, _working_rows, select_bandwidth,
+)
 from .entropy import KDE_BLOCK_BYTES, _kde_entropy_rows, de_kde, de_ml
-from .errors import DataError, DdeError, FitError, InvalidParameterError, UsageError
-from .families import FamilyId, FittedModel, Support, fit_mle, get_family, sample
+from .errors import DataError, DdeError, FitError, InvalidParameterError, UsageError, first_failures
+from .families import Family, FamilyId, FittedModel, Support, _fit_rows, fit_mle, get_family
 from .quadrature import range_bounds
-from .streams import substream
+from .streams import _PrefixStreams
 
 DEFAULT_N_BOOT = 1000
 DEFAULT_ALPHA = 0.05
@@ -91,52 +99,63 @@ class DdeResult:
 
 def dde_statistic(fitted: FittedModel, data, bw: BandwidthSpec) -> float:
     """DE_ML(fitted) - DE_KDE(data; bw) in nats."""
-    support = get_family(fitted.family).support
-    ml = de_ml(fitted).value
-    kde = de_kde(data, bw, support).value
-    return ml - kde
+    return de_ml(fitted) - de_kde(data, bw, get_family(fitted.family).support)
+
+
+def _replicate_rows(fam: Family, fitted: FittedModel, rows: np.ndarray, theta_fixed: bool):
+    """Refit, bandwidth and DE_ML of each row of a (rows, n) array of draws.
+
+    Returns (DE_ML, the rows on the working scale, h, failures), where
+    failures holds the rows whose refit, bandwidth or their data checks
+    raised FitError or DataError; a failed row's values are meaningless.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):  # failed rows carry on as garbage
+        if theta_fixed:
+            theta, failures = fitted.theta, {}
+        else:
+            theta, failures = _fit_rows(fam.family_id, rows)
+        working, _, support_failures = _working_rows(fam.family_id, rows)
+        h, _, _, bw_failures = _bandwidth_rows(fam.family_id, fam.kurtosis(theta), working)
+        ml = np.full(h.shape, fam.entropy(theta))
+    return ml, working, h, first_failures(failures, support_failures, bw_failures)
 
 
 def _replicate_batch(args) -> np.ndarray:
     """Bootstrap DDE values for replicates start..stop-1; NaN where every
-    attempt failed to fit.
+    attempt failed.
 
-    Each replicate draws, refits, reselects the bandwidth and takes DE_ML on
-    its own streams; the KDE entropies of a group of replicates then come
-    from one ``_kde_entropy_rows`` call, the group's (rows, n) samples
-    capped at ``KDE_BLOCK_BYTES``.
+    Replicates run in groups whose (rows, n) samples fit in
+    ``KDE_BLOCK_BYTES``.  Each row of a group draws attempt 0 from its own
+    stream; refit, bandwidth and DE_ML then run once over the group, and only
+    the rows that failed are redrawn, one at a time, at attempts 1-3.  The KDE
+    entropies of the group's surviving rows come from one
+    ``_kde_entropy_rows`` call.
     """
     fitted, n, seed, start, stop, theta_fixed = args
     fam = get_family(fitted.family)
+    streams = _PrefixStreams(seed, "boot")
     group = max(1, KDE_BLOCK_BYTES // (8 * n))
     out = np.full(stop - start, np.nan)
     for g0 in range(start, stop, group):
         g1 = min(g0 + group, stop)
         rows = np.empty((g1 - g0, n))
-        h = np.empty(g1 - g0)
-        ml = np.full(g1 - g0, np.nan)
-        for i, r in enumerate(range(g0, g1)):
-            for attempt in range(_MAX_ATTEMPTS):
-                stream = substream(seed, "boot", r, attempt)
-                x = sample(fitted, n, stream)
-                try:
-                    refit = fitted if theta_fixed else fit_mle(fam.family_id, x)
-                    bw = select_bandwidth(fam.family_id, refit, x)
-                    ml[i] = de_ml(refit).value
-                except (FitError, DataError):
-                    continue
-                rows[i] = x
-                h[i] = bw.h
-                break
-        ok = ~np.isnan(ml)
-        rows, h = rows[ok], h[ok]
-        if fam.support is Support.POSITIVE:
-            np.log(rows, out=rows)
-            shift = rows.mean(axis=1)
-        else:
-            shift = 0.0
-        lower, upper = range_bounds(rows, h)
-        kde = _kde_entropy_rows(rows, h, lower, upper) + shift
+        for i in range(g1 - g0):
+            rows[i] = fam.sampler(fitted.theta, n, streams(g0 + i, 0))
+        ml, working, h, failures = _replicate_rows(fam, fitted, rows, theta_fixed)
+        del rows  # on positive support the raw draws need not outlive the KDE below
+        ok = np.ones(g1 - g0, dtype=bool)
+        for i in failures:
+            ok[i] = False
+            for attempt in range(1, _MAX_ATTEMPTS):
+                x = fam.sampler(fitted.theta, n, streams(g0 + i, attempt))
+                ml_i, working_i, h_i, failed = _replicate_rows(fam, fitted, x[None, :], theta_fixed)
+                if not failed:
+                    ml[i], working[i], h[i], ok[i] = ml_i[0], working_i[0], h_i[0], True
+                    break
+        working, h = working[ok], h[ok]
+        shift = working.mean(axis=1) if fam.support is Support.POSITIVE else 0.0
+        lower, upper = range_bounds(working, h)
+        kde = _kde_entropy_rows(working, h, lower, upper) + shift
         out[g0 - start:g1 - start][ok] = ml[ok] - kde
     return out
 
@@ -197,17 +216,28 @@ def bootstrap_null(
 
     Each replicate resamples n draws from ``fitted``, refits (unless the
     hypothesis is simple, ``theta_fixed=True``), reselects the bandwidth with
-    the same rule, and recomputes both entropy estimates.  A replicate whose
-    fit fails is retried on fresh sub-streams up to 3 times and then dropped;
-    the run aborts if more than 1% of replicates fail.
+    the same rule, and recomputes both entropy estimates.
+
+    Failure policy inside a replicate, by error class:
+
+    * ``FitError`` or ``DataError`` (the refit, the bandwidth rule or the
+      data checks before them): the replicate is redrawn from a fresh
+      sub-stream, ``(seed, "boot", r, attempt)`` for attempts 1-3, and
+      dropped after its fourth failure; the run aborts with ``FitError`` if
+      more than 1% of the replicates are dropped.
+    * ``QuadratureError`` (a non-finite KDE entropy): the bootstrap aborts;
+      ``run_test`` reports it at stage ``bootstrap``.
     """
     if n_boot < 1:
         raise UsageError(f"n_boot must be >= 1, got {n_boot}")
     fam = get_family(fitted.family)
-    if n < fam.min_fit_size:
+    if not fam.testable:
+        raise FitError(f"{fam.family_id.value} is not a testable null (sampler-only)")
+    need = max(fam.min_fit_size, MIN_BANDWIDTH_SIZE)
+    if n < need:
         raise DataError(
-            f"bootstrap sample size {n} is below the minimum fit size "
-            f"{fam.min_fit_size} for {fam.family_id.value}"
+            f"bootstrap sample size {n} is below {need}, the minimum of the "
+            f"{fam.family_id.value} fit and of the bandwidth rule"
         )
     chunk = n_boot if threads <= 1 or n_boot < 8 else math.ceil(n_boot / (threads * 4))
     tasks = [(fitted, n, seed, s, min(s + chunk, n_boot), theta_fixed)

@@ -33,8 +33,6 @@ hundreds, as the ML forms understate theirs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from scipy.special import xlogy
@@ -49,27 +47,6 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _KERNEL_L2 = 1.0 / (2.0 * math.sqrt(math.pi))
 
 DEFAULT_TOL = 1e-8
-
-
-class EstimatorKind(str, Enum):
-    ML = "ml"
-    KDE = "kde"
-
-
-@dataclass(frozen=True)
-class EntropyEstimate:
-    """A differential-entropy value tagged by how it was produced."""
-
-    value: float
-    estimator: EstimatorKind
-    scale: Scale
-    bandwidth: BandwidthSpec | None = None
-
-    def __post_init__(self):
-        if self.estimator is EstimatorKind.ML and self.bandwidth is not None:
-            raise InvalidParameterError("ML estimates carry no bandwidth")
-        if self.estimator is EstimatorKind.KDE and self.bandwidth is None:
-            raise InvalidParameterError("KDE estimates must carry their bandwidth")
 
 
 # --------------------------------------------------------------------------
@@ -95,9 +72,13 @@ def _de_ml_quadrature(fitted: FittedModel, tol: float) -> float:
     return integrate(integrand, rng, tol)
 
 
-def de_ml(fitted: FittedModel) -> EntropyEstimate:
-    """Plug-in entropy at the fitted parameters, from the family's closed form."""
-    return EntropyEstimate(closed_form_entropy(fitted), EstimatorKind.ML, Scale.RAW)
+def de_ml(fitted: FittedModel) -> float:
+    """Plug-in entropy at the fitted parameters, from the family's closed form.
+
+    The one-row call of the family's ``entropy``, which the bootstrap takes
+    over the parameter columns of a group of replicates.
+    """
+    return closed_form_entropy(fitted)
 
 
 # --------------------------------------------------------------------------
@@ -185,7 +166,7 @@ def de_kde(
     support: Support,
     *,
     range_multiple: float | None = None,
-) -> EntropyEstimate:
+) -> float:
     """Kernel plug-in entropy over the quantile-based integration range.
 
     On positive support the kernel smooths y = ln(x) and the estimate is
@@ -203,13 +184,11 @@ def de_kde(
             raise SupportError("positive-support KDE requires strictly positive data")
         working = np.log(data)
         shift = float(np.mean(working))
-        scale = Scale.LN
     else:
         if bw.scale is not Scale.RAW:
             raise InvalidParameterError("real-support KDE requires a raw-scale bandwidth")
         working = data
         shift = 0.0
-        scale = Scale.RAW
     if range_multiple is None:
         rng = entropy_range(data, bw.h, support)
     else:
@@ -217,7 +196,7 @@ def de_kde(
     value = _kde_entropy_rows(
         working[None, :], np.array([bw.h]), np.array([rng.lower]), np.array([rng.upper]),
     )[0] + shift
-    return EntropyEstimate(float(value), EstimatorKind.KDE, scale, bandwidth=bw)
+    return float(value)
 
 
 # --------------------------------------------------------------------------

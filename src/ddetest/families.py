@@ -16,6 +16,13 @@ Every family carries its analytic (mean, variance); the four simulated
 nulls (normal, exponential, gamma, laplace) also carry the bias diagnostics
 of the ML and KDE entropy estimators.
 
+The fit, the closed-form entropy and the null-implied kurtosis of a testable
+null are row-wise: ``Family.fit`` takes the rows of a (rows, n) array, one
+sample per row, and returns one array per parameter, and ``entropy`` and
+``kurtosis`` take those arrays as theta.  The bootstrap fits a group of
+replicates in one call (``_fit_rows``); ``fit_mle`` is its one-row call, and
+``closed_form_entropy`` and ``null_kurtosis`` take one model's theta.
+
 Parameterizations (kurtosis for positive-support families is the kurtosis of
 ln X, the scale on which their density is smoothed):
 
@@ -48,7 +55,10 @@ from typing import Callable
 import numpy as np
 from scipy import optimize as _opt
 
-from .errors import DataError, DegenerateDataError, FitError, InvalidParameterError, SupportError
+from .errors import (
+    DataError, DegenerateDataError, FitError, InvalidParameterError, RowFailures, SupportError,
+    first_failures, raise_row_failure, row_failures,
+)
 from .special import EULER_GAMMA, digamma, log_gamma, polygamma, trigamma
 
 _LN_2PI = math.log(2.0 * math.pi)
@@ -83,18 +93,22 @@ class FamilyId(str, Enum):
 class Family:
     """Registry entry: the callable surface one distribution family exposes.
 
-    Each callable but ``fit`` (which takes the data) takes theta first.
-    ``working_moments`` gives (mean, sd) on the working scale (raw on R,
-    ln X on R+), ``moments`` the raw-scale (mean, variance),
-    ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in entropy, and
-    ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of the KDE
-    entropy bias.
+    Each callable but ``fit`` takes theta first.  ``fit`` takes the rows of
+    a (rows, n) array and returns the parameter columns (one array per
+    parameter) with the failures of its own rows (see ``_fit_rows``); for
+    the testable nulls ``entropy`` and ``kurtosis`` take such columns as
+    theta as readily as one parameter tuple.  ``positive`` names the
+    parameters that must be > 0.  ``working_moments`` gives (mean, sd) on
+    the working scale (raw on R, ln X on R+), ``moments`` the raw-scale
+    (mean, variance), ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in
+    entropy, and ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of
+    the KDE entropy bias.
     """
 
     family_id: FamilyId
     param_names: tuple[str, ...]
     support: Support
-    validate: Callable[[tuple], str | None]
+    positive: tuple[str, ...]
     log_pdf: Callable
     sampler: Callable
     entropy: Callable | None = None
@@ -141,26 +155,15 @@ class FittedModel:
             )
         if not all(math.isfinite(t) for t in self.theta):
             raise InvalidParameterError(f"non-finite parameter in {self.theta}")
-        problem = fam.validate(self.theta)
-        if problem:
-            raise InvalidParameterError(f"{fam.family_id.value}: {problem}")
+        for name, value in zip(fam.param_names, self.theta):
+            if name in fam.positive and value <= 0.0:
+                raise InvalidParameterError(
+                    f"{fam.family_id.value}: parameter {name} must be > 0, got {value}"
+                )
 
     @property
     def support(self) -> Support:
         return get_family(self.family).support
-
-
-def _positive(*names):
-    """Validator requiring the named parameters (all, by index) to be > 0."""
-
-    def check(theta):
-        fam_names = names
-        for name, value in zip(fam_names, theta):
-            if name and value <= 0.0:
-                return f"parameter {name} must be > 0, got {value}"
-        return None
-
-    return check
 
 
 # --------------------------------------------------------------------------
@@ -298,11 +301,11 @@ def _logpdf_weibull(theta, x):
 
 def _entropy_normal(theta):
     _, s2 = theta
-    return 0.5 * math.log(2.0 * math.pi * math.e * s2)
+    return 0.5 * np.log(2.0 * math.pi * math.e * s2)
 
 
 def _entropy_exponential(theta):
-    return 1.0 + math.log(theta[0])
+    return 1.0 + np.log(theta[0])
 
 
 def _entropy_gamma(theta):
@@ -310,16 +313,16 @@ def _entropy_gamma(theta):
     # cancel at large a: ln(ab) - F(a) + (a-1) g(a), where g(a) = ln a - ψ(a)
     # and F(a) = a ln a - a - ln Γ(a) come from their series there
     a, b = theta
-    return math.log(a) + math.log(b) - _free_loglik(a) + (a - 1.0) * _gap(a)
+    return np.log(a) + np.log(b) - _free_loglik(a) + (a - 1.0) * _gap(a)
 
 
 def _entropy_laplace(theta):
-    return 1.0 + math.log(2.0 * theta[1])
+    return 1.0 + np.log(2.0 * theta[1])
 
 
 def _entropy_lognormal(theta):
     u, s2 = theta
-    return u + 0.5 * math.log(2.0 * math.pi * math.e * s2)
+    return u + 0.5 * np.log(2.0 * math.pi * math.e * s2)
 
 
 def _entropy_gengamma(theta):
@@ -329,7 +332,7 @@ def _entropy_gengamma(theta):
     a, d, p = theta
     q = d / p
     g = _gap(q)
-    return math.log(a) - math.log(p) - _free_loglik(q) + q * g + (math.log(q) - g) / p
+    return np.log(a) - np.log(p) - _free_loglik(q) + q * g + (np.log(q) - g) / p
 
 
 def _entropy_logistic(theta):
@@ -425,44 +428,32 @@ def _sample_weibull(theta, n, stream):
 # --------------------------------------------------------------------------
 # MLE fits
 # --------------------------------------------------------------------------
-
-def _check_fit_data(fam: Family, data: np.ndarray) -> np.ndarray:
-    data = np.asarray(data, dtype=float)
-    if data.ndim != 1:
-        raise DataError("expected a one-dimensional sample")
-    if data.size < fam.min_fit_size:
-        raise DataError(
-            f"{fam.family_id.value} fit needs at least {fam.min_fit_size} "
-            f"observations, got {data.size}"
-        )
-    if not np.all(np.isfinite(data)):
-        raise DataError("sample contains non-finite values")
-    if fam.support is Support.POSITIVE and np.min(data) <= 0.0:
-        raise SupportError(
-            f"{fam.family_id.value} has positive support; sample contains a "
-            f"value <= 0 (min = {np.min(data)})"
-        )
-    if np.min(data) == np.max(data):
-        raise DegenerateDataError("all observations are identical")
-    return data
-
+#
+# Every fitter takes the rows of a (rows, n) array and returns the parameter
+# columns together with the failures of its own rows (``RowFailures``); a
+# failed row's parameters are meaningless.  Each reduction runs along one
+# row, so a row's fit is bit-identical alone or in any group of rows.
 
 def _mean(v: np.ndarray):
-    """Mean of a 1-D array, bit-identical to ``np.mean(v)`` (the same pairwise
-    sum, divided by the size) without its dispatch overhead."""
-    return np.add.reduce(v) / v.size
+    """Mean along the last axis, bit-identical to ``np.mean`` of each row
+    alone (the same pairwise sum, divided by the length) without its
+    dispatch overhead."""
+    return np.add.reduce(v, axis=-1) / v.shape[-1]
 
 
-def _fit_normal(data):
-    u = float(_mean(data))
-    s2 = float(_mean((data - u) ** 2))
-    if s2 <= 0.0:
-        raise DegenerateDataError("zero variance")
-    return (u, s2)
+def _mean_var(rows):
+    """Mean and divisor-n variance of each row."""
+    u = _mean(rows)
+    return u, _mean((rows - u[:, None]) ** 2)
 
 
-def _fit_exponential(data):
-    return (float(_mean(data)),)
+def _fit_normal(rows):
+    u, s2 = _mean_var(rows)
+    return (u, s2), row_failures(s2 <= 0.0, lambda i: DegenerateDataError("zero variance"))
+
+
+def _fit_exponential(rows):
+    return (_mean(rows),), {}
 
 
 _SERIES_FROM = 20.0  # gamma shape above which asymptotic series replace scipy
@@ -480,52 +471,58 @@ def _stirling_tail(k):
     return -(1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r / 1188)))) / k
 
 
+def _gap(k):
+    """ln k - psi(k), by psi's asymptotic series for large k, where the
+    direct difference ~ 1/(2k) cancels catastrophically."""
+    return np.where(k < _SERIES_FROM, np.log(k) - digamma(k),
+                    _gap_series(np.maximum(k, _SERIES_FROM)))
+
+
 def _shape_gap(k):
-    """(ln k - psi(k), its derivative in ln k), by psi's asymptotic series for
-    large k, where the direct difference ~ 1/(2k) cancels catastrophically."""
+    """(ln k - psi(k), its derivative in ln k)."""
     big = np.maximum(k, _SERIES_FROM)
     r = 1.0 / (big * big)
     dgap = -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / big) / big
-    small = k < _SERIES_FROM
-    return (np.where(small, np.log(k) - digamma(k), _gap_series(big)),
-            np.where(small, 1.0 - k * trigamma(k), dgap))
+    return _gap(k), np.where(k < _SERIES_FROM, 1.0 - k * trigamma(k), dgap)
 
 
-def _shape_free_loglik(k):
+def _free_loglik(k):
     """k ln k - k - ln Gamma(k), by Stirling's series for large k."""
     big = np.maximum(k, _SERIES_FROM)
     series = 0.5 * np.log(big / (2.0 * math.pi)) + _stirling_tail(big)
     return np.where(k < _SERIES_FROM, k * np.log(k) - k - log_gamma(k), series)
 
 
-def _gap(k: float) -> float:
-    """ln k - psi(k) for one float k > 0, in plain floats (numpy's per-call
-    cost would dominate the closed-form entropies that use it)."""
-    return _gap_series(k) if k >= _SERIES_FROM else math.log(k) - float(digamma(k))
-
-
-def _free_loglik(k: float) -> float:
-    """k ln k - k - ln Gamma(k) for one float k > 0, as _shape_free_loglik."""
-    if k >= _SERIES_FROM:
-        return 0.5 * math.log(k / (2.0 * math.pi)) + _stirling_tail(k)
-    return k * math.log(k) - k - float(log_gamma(k))
-
-
 def _gamma_shape(s):
     """Solve ln k - psi(k) = s > 0 elementwise: the gamma MLE shape.
 
     Newton in ln k on ln(ln k - psi(k)) = ln s, which is close to linear at
-    both ends; once every residual is below 1e-10 one last step is taken.
+    both ends.  Once an element's residual is below 1e-10 it takes one last
+    step and leaves the iteration, so its value does not depend on the other
+    elements.  NaN where 50 steps do not converge.
     """
+    k = np.full(s.shape, np.nan)
+    live = np.arange(s.size)
     ln_s = np.log(s)
     t = np.log((3.0 - s + np.sqrt((s - 3.0) ** 2 + 24.0 * s)) / (12.0 * s))
     for _ in range(50):
         gap, dgap = _shape_gap(np.exp(t))
         resid = np.log(gap) - ln_s
         t = t - np.clip(resid * gap / dgap, -2.0, 2.0)
-        if np.all(np.abs(resid) <= 1e-10):
-            return np.exp(t)
-    raise FitError("gamma shape iteration did not converge")
+        done = np.abs(resid) <= 1e-10
+        k[live[done]] = np.exp(t[done])
+        if done.all():
+            break
+        live, t, ln_s = live[~done], t[~done], ln_s[~done]
+    return k
+
+
+def _log_mean_exp(z):
+    """ln mean(e^z) along each row of z; expm1 keeps a small value exact and
+    the shift keeps e^z finite far out."""
+    top = z.max(axis=1, keepdims=True)
+    shift = np.where(top > 500.0, top, 0.0)
+    return shift[:, 0] + np.log1p(_mean(np.expm1(z - shift)))
 
 
 def _gamma_profile(dev, ln_p):
@@ -541,51 +538,53 @@ def _gamma_profile(dev, ln_p):
     lme = np.empty(p.size)
     rows = max(1, (1 << 16) // dev.size)
     for i in range(0, p.size, rows):
-        z = np.multiply.outer(p[i:i + rows], dev)
-        # expm1 keeps a small gap exact; the shift keeps e^z finite far out
-        top = z.max(axis=1, keepdims=True)
-        shift = np.where(top > 500.0, top, 0.0)
-        lme[i:i + rows] = shift[:, 0] + np.log1p(np.mean(np.expm1(z - shift), axis=1))
+        lme[i:i + rows] = _log_mean_exp(np.multiply.outer(p[i:i + rows], dev))
     s = lme - p * float(np.mean(dev))
     ok = s > 0.0
     k = np.full(p.size, np.nan)
     k[ok] = _gamma_shape(s[ok])
-    return np.where(ok, ln_p - k * s + _shape_free_loglik(k), -np.inf), k, lme
+    if np.isnan(k[ok]).any():
+        raise FitError("gamma shape iteration did not converge")
+    return np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme
 
 
-def _fit_gamma(data):
-    lx = np.log(data)
-    a = float(_gamma_profile(lx - float(_mean(lx)), np.zeros(1))[1][0])
-    if not math.isfinite(a):
-        raise DegenerateDataError("log-moment gap is non-positive")
-    if a > 1e10:
-        raise FitError(f"gamma shape estimate diverged (alpha = {a})")
-    return (a, float(_mean(data)) / a)
+def _fit_gamma(rows):
+    # the p = 1 row of the generalized-gamma profile, for every row at once
+    lx = np.log(rows)
+    dev = lx - _mean(lx)[:, None]
+    s = _log_mean_exp(dev) - _mean(dev)
+    ok = s > 0.0
+    a = np.full(s.shape, np.nan)
+    a[ok] = _gamma_shape(s[ok])
+    failures = row_failures(~ok, lambda i: DegenerateDataError("log-moment gap is non-positive"))
+    failures = first_failures(
+        failures,
+        row_failures(np.isnan(a), lambda i: FitError("gamma shape iteration did not converge")),
+        row_failures(a > 1e10, lambda i: FitError(
+            f"gamma shape estimate diverged (alpha = {float(a[i])})")),
+    )
+    return (a, _mean(rows) / a), failures
 
 
-def _fit_laplace(data):
+def _fit_laplace(rows):
     # lower median: deterministic tie-break for even n
-    xs = np.sort(data)
-    u = float(xs[(xs.size - 1) // 2])
-    b = float(_mean(np.abs(data - u)))
-    if b <= 0.0:
-        raise DegenerateDataError("zero mean absolute deviation")
-    return (u, b)
+    mid = (rows.shape[1] - 1) // 2
+    u = np.partition(rows, mid, axis=1)[:, mid]
+    b = _mean(np.abs(rows - u[:, None]))
+    return (u, b), row_failures(
+        b <= 0.0, lambda i: DegenerateDataError("zero mean absolute deviation"))
 
 
-def _fit_lognormal(data):
-    lx = np.log(data)
-    u = float(_mean(lx))
-    s2 = float(_mean((lx - u) ** 2))
-    if s2 <= 0.0:
-        raise DegenerateDataError("zero variance on the log scale")
-    return (u, s2)
+def _fit_lognormal(rows):
+    u, s2 = _mean_var(np.log(rows))
+    return (u, s2), row_failures(
+        s2 <= 0.0, lambda i: DegenerateDataError("zero variance on the log scale"))
 
 
 _GG_LN_P = np.linspace(math.log(0.05), math.log(200.0), 60)
 
 
-def _fit_gengamma(data):
+def _fit_gengamma_row(data):
     """Profile likelihood in p: for fixed p, x^p ~ Gamma(d/p, a^p), so (a, d)
     follow from the gamma MLE of x^p (Prentice 1974; Noufaily & Jones 2013).
 
@@ -614,13 +613,25 @@ def _fit_gengamma(data):
     return (math.exp(m + (float(lme[0]) - math.log(k)) / p), p * k, p)
 
 
+def _fit_gengamma(rows):
+    # one profile per row: the fit dominates a replicate's time anyway
+    theta = np.full((3, rows.shape[0]), np.nan)
+    failures = {}
+    for i, x in enumerate(rows):
+        try:
+            theta[:, i] = _fit_gengamma_row(x)
+        except FitError as exc:
+            failures[i] = exc
+    return tuple(theta), failures
+
+
 # --------------------------------------------------------------------------
 # null-implied kurtosis (working scale: raw for R, ln X for R+)
 # --------------------------------------------------------------------------
 
-def _ln_gamma_kurtosis(q: float) -> float:
+def _ln_gamma_kurtosis(q):
     # cumulants of ln G, G ~ Gamma(q): kappa_2 = psi'(q), kappa_4 = psi'''(q)
-    return 3.0 + float(polygamma(3, q)) / float(polygamma(1, q)) ** 2
+    return 3.0 + polygamma(3, q) / polygamma(1, q) ** 2
 
 
 def _kurt_normal(theta):
@@ -819,72 +830,72 @@ def _register(fam: Family):
 
 
 _register(Family(FamilyId.NORMAL, ("u", "sigma2"), Support.REAL,
-                 validate=_positive("", "sigma2"),
+                 positive=("sigma2",),
                  log_pdf=_logpdf_normal, entropy=_entropy_normal,
                  sampler=_sample_normal, fit=_fit_normal, kurtosis=_kurt_normal,
                  working_moments=_working_normal, moments=_moments_normal,
                  ml_bias=_ml_bias_normal, kde_smoothing=_smooth_bias_normal))
 _register(Family(FamilyId.EXPONENTIAL, ("theta",), Support.POSITIVE,
-                 validate=_positive("theta"),
+                 positive=("theta",),
                  log_pdf=_logpdf_exponential, entropy=_entropy_exponential,
                  sampler=_sample_exponential, fit=_fit_exponential,
                  kurtosis=_kurt_exponential,
                  working_moments=_working_exponential, moments=_moments_exponential,
                  ml_bias=_ml_bias_exponential, kde_smoothing=_smooth_bias_exponential))
 _register(Family(FamilyId.GAMMA, ("alpha", "beta"), Support.POSITIVE,
-                 validate=_positive("alpha", "beta"),
+                 positive=("alpha", "beta"),
                  log_pdf=_logpdf_gamma, entropy=_entropy_gamma,
                  sampler=_sample_gamma, fit=_fit_gamma, kurtosis=_kurt_gamma,
                  working_moments=_working_gamma, moments=_moments_gamma,
                  ml_bias=_ml_bias_gamma, kde_smoothing=_smooth_bias_gamma))
 _register(Family(FamilyId.LAPLACE, ("u", "b"), Support.REAL,
-                 validate=_positive("", "b"),
+                 positive=("b",),
                  log_pdf=_logpdf_laplace, entropy=_entropy_laplace,
                  sampler=_sample_laplace, fit=_fit_laplace, kurtosis=_kurt_laplace,
                  working_moments=_working_laplace, moments=_moments_laplace,
                  ml_bias=_ml_bias_laplace, kde_smoothing=_smooth_bias_laplace))
 _register(Family(FamilyId.LOGNORMAL, ("u", "sigma2"), Support.POSITIVE,
-                 validate=_positive("", "sigma2"),
+                 positive=("sigma2",),
                  log_pdf=_logpdf_lognormal, entropy=_entropy_lognormal,
                  sampler=_sample_lognormal, fit=_fit_lognormal, kurtosis=_kurt_lognormal,
                  # ln X ~ N(u, sigma2): the working scale shares the normal's form
                  working_moments=_working_normal, moments=_moments_lognormal))
 _register(Family(FamilyId.GENGAMMA, ("a", "d", "p"), Support.POSITIVE,
-                 validate=_positive("a", "d", "p"),
+                 positive=("a", "d", "p"),
                  log_pdf=_logpdf_gengamma, entropy=_entropy_gengamma,
                  sampler=_sample_gengamma, fit=_fit_gengamma, kurtosis=_kurt_gengamma,
                  working_moments=_working_gengamma, moments=_moments_gengamma))
 
 _register(Family(FamilyId.LOGISTIC, ("u", "s"), Support.REAL,
-                 validate=_positive("", "s"),
+                 positive=("s",),
                  log_pdf=_logpdf_logistic, entropy=_entropy_logistic,
                  sampler=_sample_logistic,
                  working_moments=_working_logistic, moments=_moments_logistic))
 _register(Family(FamilyId.CAUCHY, ("x0", "gamma"), Support.REAL,
-                 validate=_positive("", "gamma"),
+                 positive=("gamma",),
                  log_pdf=_logpdf_cauchy, entropy=_entropy_cauchy,
                  sampler=_sample_cauchy, moments=_moments_cauchy))
 _register(Family(FamilyId.SCALED_T, ("df", "scale"), Support.REAL,
-                 validate=_positive("df", "scale"),
+                 positive=("df", "scale"),
                  log_pdf=_logpdf_scaled_t, sampler=_sample_scaled_t,
                  moments=_moments_scaled_t))
 _register(Family(FamilyId.RAYLEIGH, ("sigma",), Support.POSITIVE,
-                 validate=_positive("sigma"),
+                 positive=("sigma",),
                  log_pdf=_logpdf_rayleigh, entropy=_entropy_rayleigh,
                  sampler=_sample_rayleigh, moments=_moments_rayleigh))
 _register(Family(FamilyId.LOGLOGISTIC, ("shape", "scale"), Support.POSITIVE,
-                 validate=_positive("shape", "scale"),
+                 positive=("shape", "scale"),
                  log_pdf=_logpdf_loglogistic, sampler=_sample_loglogistic,
                  moments=_moments_loglogistic))
 _register(Family(FamilyId.LOMAX, ("shape", "scale"), Support.POSITIVE,
-                 validate=_positive("shape", "scale"),
+                 positive=("shape", "scale"),
                  log_pdf=_logpdf_lomax, sampler=_sample_lomax, moments=_moments_lomax))
 _register(Family(FamilyId.WEIBULL, ("k", "lam"), Support.POSITIVE,
-                 validate=_positive("k", "lam"),
+                 positive=("k", "lam"),
                  log_pdf=_logpdf_weibull, entropy=_entropy_weibull,
                  sampler=_sample_weibull, moments=_moments_weibull))
 _register(Family(FamilyId.INV_GAUSSIAN, ("mu", "lam"), Support.POSITIVE,
-                 validate=_positive("mu", "lam"),
+                 positive=("mu", "lam"),
                  log_pdf=_logpdf_invgaussian, sampler=_sample_invgaussian,
                  moments=_moments_invgaussian))
 
@@ -905,20 +916,73 @@ def log_pdf(model: FittedModel, x):
     return get_family(model.family).log_pdf(model.theta, x)
 
 
-def fit_mle(family: FamilyId | str, data) -> FittedModel:
-    """Fit the family by maximum likelihood (closed forms where they exist).
+def _data_failures(fam: Family, rows: np.ndarray) -> RowFailures:
+    """Rows that are not finite, leave the family's support or do not vary."""
+    lo, hi = rows.min(axis=1), rows.max(axis=1)
+    failures = row_failures(~np.isfinite(rows).all(axis=1),
+                            lambda i: DataError("sample contains non-finite values"))
+    if fam.support is Support.POSITIVE:
+        failures = first_failures(failures, row_failures(lo <= 0.0, lambda i: SupportError(
+            f"{fam.family_id.value} has positive support; sample contains a "
+            f"value <= 0 (min = {lo[i]})"
+        )))
+    return first_failures(failures, row_failures(
+        lo == hi, lambda i: DegenerateDataError("all observations are identical")))
 
-    A fit that yields non-finite or out-of-range parameters raises FitError.
+
+def _parameter_failures(fam: Family, theta) -> RowFailures:
+    """Rows whose fitted parameters are not finite or not in range: a failed
+    fit, not a caller's mistake, so a FitError raised from the
+    InvalidParameterError of the model."""
+    bad = np.zeros(np.shape(theta[0]), dtype=bool)
+    for name, col in zip(fam.param_names, theta):
+        bad |= ~np.isfinite(col)
+        if name in fam.positive:
+            bad |= col <= 0.0
+    failures: RowFailures = {}
+    for i in np.flatnonzero(bad):
+        try:
+            FittedModel(fam.family_id, tuple(col[i] for col in theta))
+        except InvalidParameterError as exc:
+            err = FitError(f"{fam.family_id.value} fit gave invalid parameters: {exc}")
+            err.__cause__ = exc
+            failures[int(i)] = err
+    return failures
+
+
+def _fit_rows(family: FamilyId | str, rows: np.ndarray) -> tuple[tuple, RowFailures]:
+    """Maximum-likelihood fit of each row of a (rows, n) array.
+
+    Returns the parameter columns, one array per parameter, and the failures:
+    for each row that cannot be fit, the typed error ``fit_mle`` raises on
+    that row alone.  A failed row's parameters are meaningless.
     """
     fam = get_family(family)
     if not fam.testable:
         raise FitError(f"{fam.family_id.value} is not a testable null (sampler-only)")
-    data = _check_fit_data(fam, data)
-    theta = fam.fit(data)
-    try:
-        return FittedModel(fam.family_id, theta, n_fit=int(data.size))
-    except InvalidParameterError as exc:  # a failed fit, not a caller's mistake
-        raise FitError(f"{fam.family_id.value} fit gave invalid parameters: {exc}") from exc
+    if rows.shape[1] < fam.min_fit_size:
+        raise DataError(
+            f"{fam.family_id.value} fit needs at least {fam.min_fit_size} "
+            f"observations, got {rows.shape[1]}"
+        )
+    failures = _data_failures(fam, rows)
+    with np.errstate(divide="ignore", invalid="ignore"):  # rows failed above fit to garbage
+        theta, fit_failures = fam.fit(rows)
+    return theta, first_failures(failures, fit_failures, _parameter_failures(fam, theta))
+
+
+def fit_mle(family: FamilyId | str, data) -> FittedModel:
+    """Fit the family by maximum likelihood (closed forms where they exist).
+
+    The one-row call of ``_fit_rows``.  A fit that yields non-finite or
+    out-of-range parameters raises FitError.
+    """
+    data = np.asarray(data, dtype=float)
+    if data.ndim != 1:
+        raise DataError("expected a one-dimensional sample")
+    theta, failures = _fit_rows(family, data[None, :])
+    raise_row_failure(failures)
+    return FittedModel(family, tuple(float(col[0]) for col in theta), n_fit=int(data.size))
 
 
 def sample(model: FittedModel, n: int, stream: np.random.Generator) -> np.ndarray:

@@ -49,3 +49,33 @@ def substream(*parts) -> np.random.Generator:
     with distinct keys are statistically independent.
     """
     return np.random.Generator(np.random.Philox(key=stable_key(*parts)))
+
+
+class _PrefixStreams:
+    """``substream(*prefix, *suffix)`` for many suffixes of one prefix.
+
+    The prefix is hashed once and the hash state copied per suffix, and every
+    stream is one Philox, rekeyed in place: constructing a ``Philox`` seeds a
+    throwaway ``SeedSequence`` from OS entropy first, which costs more than
+    the draws of a small sample.  A returned generator is valid until the
+    next call.  Both prefix and suffix must be non-empty.
+    """
+
+    def __init__(self, *prefix):
+        self._head = hashlib.sha256(_encode(prefix) + _SEP)
+        self._bitgen = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bitgen)
+
+    def __call__(self, *suffix) -> np.random.Generator:
+        digest = self._head.copy()
+        digest.update(_encode(suffix))
+        key = np.frombuffer(digest.digest()[:16], dtype="<u8").astype(np.uint64)
+        self._bitgen.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._gen

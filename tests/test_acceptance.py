@@ -92,7 +92,7 @@ def test_criterion_2_ln_space_identity():
                            shape=stats, regime=Regime.RIGHT_SKEWED_POSITIVE)
         # the identity is exact on matched domains wide enough that kernel
         # tails are fully integrated; m=12 puts truncation below 1e-30
-        ln_value = d.de_kde(data, bw, Support.POSITIVE, range_multiple=12.0).value
+        ln_value = d.de_kde(data, bw, Support.POSITIVE, range_multiple=12.0)
 
         norm = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
 
@@ -166,7 +166,7 @@ def test_criterion_4_kde_bias_monte_carlo():
         stats = ShapeStats(3.0, 0.0, 3.0, 3.0, 1.0, float(x.std()))
         bw = BandwidthSpec(h=h, c=1.06, k_n=1.0, n=n, scale=Scale.RAW,
                            shape=stats, regime=Regime.GAUSSIAN)
-        errs[r] = d.de_kde(x, bw, Support.REAL).value - HALF_LN_2PIE
+        errs[r] = d.de_kde(x, bw, Support.REAL) - HALF_LN_2PIE
         width = entropy_range(x, h, Support.REAL).width
         preds[r] = d.kde_smoothing_bias(FamilyId.NORMAL, null, h, n, width)
     predicted = float(preds.mean())

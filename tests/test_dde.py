@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -11,7 +12,7 @@ from ddetest import (
     de_kde, de_ml, fit_mle, p_value, run_test, sample, select_bandwidth, substream,
 )
 from ddetest.dde import BootstrapDistribution, resolve_threads
-from ddetest.errors import DataError, FitError, UsageError
+from ddetest.errors import DataError, DegenerateDataError, FitError, QuadratureError, UsageError
 from ddetest.families import Support
 
 
@@ -104,7 +105,7 @@ def test_dde_statistic_is_the_entropy_gap():
     data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 120, substream("gap"))
     fitted = fit_mle(FamilyId.NORMAL, data)
     bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    expected = de_ml(fitted).value - de_kde(data, bw, Support.REAL).value
+    expected = de_ml(fitted) - de_kde(data, bw, Support.REAL)
     assert dde_statistic(fitted, data, bw) == pytest.approx(expected, abs=1e-14)
 
 
@@ -162,77 +163,146 @@ def test_bootstrap_mean_matches_independent_simulation_oracle():
     assert abs(boot.mean - direct.mean()) < 3.0 * se
 
 
+_NULL_MODELS = [  # gamma and laplace first: their ids (model0, model1) predate the others
+    FittedModel(FamilyId.GAMMA, (2.0, 1.5), n_fit=60),
+    FittedModel(FamilyId.LAPLACE, (1.0, 2.0), n_fit=60),
+    FittedModel(FamilyId.NORMAL, (0.5, 2.0), n_fit=60),
+    FittedModel(FamilyId.EXPONENTIAL, (2.0,), n_fit=60),
+    FittedModel(FamilyId.LOGNORMAL, (0.3, 0.5), n_fit=60),
+    FittedModel(FamilyId.GENGAMMA, (2.0, 3.0, 1.5), n_fit=60),
+]
+
+
+def _draw(fitted, n, seed, r, attempt):
+    return sample(fitted, n, substream(seed, "boot", r, attempt))
+
+
+def _replayed(fitted, n, seed, r, poisoned=()):
+    """Replicate r's DDE under the retry policy, replayed one draw at a time:
+    the first attempt whose draw is not poisoned and fits."""
+    for attempt in range(4):
+        if (r, attempt) in poisoned:
+            continue
+        x = _draw(fitted, n, seed, r, attempt)
+        try:
+            refit = fit_mle(fitted.family, x)
+            bw = select_bandwidth(fitted.family, refit, x)
+        except (FitError, DataError):
+            continue
+        return dde_statistic(refit, x, bw)
+    return math.nan
+
+
+def _poison_fits(monkeypatch, fitted, n, seed, n_boot, poisoned, fail):
+    """Swap the null's row-wise fitter for one that fails the rows drawn at
+    the (replicate, attempt) pairs in ``poisoned`` (all pairs if None), in
+    the way ``fail(theta, failures, i)`` sets, and fits the rest for real.
+    Returns the (replicate, attempt) of every row the fitter saw, in order."""
+    from ddetest import families
+
+    real = families.FAMILIES[fitted.family]
+    draws = {_draw(fitted, n, seed, r, a).tobytes(): (r, a)
+             for r in range(n_boot) for a in range(4)}
+    seen = []
+
+    def fit(rows):
+        theta, failures = real.fit(rows)
+        theta = tuple(np.array(col, dtype=float) for col in theta)
+        for i, row in enumerate(rows):
+            seen.append(draws[row.tobytes()])
+            if poisoned is None or seen[-1] in poisoned:
+                fail(theta, failures, i)
+        return theta, failures
+
+    monkeypatch.setitem(families.FAMILIES, fitted.family, dataclasses.replace(real, fit=fit))
+    return seen
+
+
+def _raise_fit_error(theta, failures, i):
+    failures[i] = FitError("transient")
+
+
+def _nan_mean(theta, failures, i):
+    theta[0][i] = math.nan  # a non-finite refit: FitError from the parameter check
+
+
+def _degenerate(theta, failures, i):
+    failures[i] = DegenerateDataError("all observations are identical")
+
+
 def test_replicate_retries_use_fresh_substreams(monkeypatch):
-    # a fit that fails on its first two samples succeeds on the third attempt
-    import ddetest.dde as dde_mod
-
-    calls = {"n": 0}
-    real_fit = dde_mod.fit_mle
-
-    def flaky_fit(family, data, **kwargs):
-        calls["n"] += 1
-        if calls["n"] <= 2:
-            raise FitError("transient")
-        return real_fit(family, data, **kwargs)
-
-    monkeypatch.setattr(dde_mod, "fit_mle", flaky_fit)
+    # a fit that fails on its first two samples succeeds on the third attempt,
+    # whose draw comes from the (seed, "boot", r, 2) sub-stream
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=50)
+    poisoned = {(0, 0), (0, 1)}
+    seen = _poison_fits(monkeypatch, fitted, 50, 4, 1, poisoned, _raise_fit_error)
     boot = bootstrap_null(fitted, 50, 1, seed=4)
     assert boot.n_failed == 0 and boot.values.size == 1
-    assert calls["n"] == 3
+    assert seen == [(0, 0), (0, 1), (0, 2)]
+    monkeypatch.undo()
+    x = _draw(fitted, 50, 4, 0, 2)
+    refit = fit_mle(FamilyId.NORMAL, x)
+    assert boot.values[0] == dde_statistic(refit, x, select_bandwidth(FamilyId.NORMAL, refit, x))
 
 
 def test_bootstrap_aborts_when_failures_exceed_tolerance(monkeypatch):
-    import ddetest.dde as dde_mod
-
-    def always_fail(family, data, **kwargs):
-        raise FitError("broken")
-
-    monkeypatch.setattr(dde_mod, "fit_mle", always_fail)
+    # every replicate fails on all four of its sub-streams, then the run aborts
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=50)
+    seen = _poison_fits(monkeypatch, fitted, 50, 4, 40, None, _raise_fit_error)
     with pytest.raises(FitError, match="bootstrap replicates failed"):
         bootstrap_null(fitted, 50, 40, seed=4)
-
-
-def _nan_fitter(monkeypatch, fails):
-    """Swap the normal null's fitter for one that returns a NaN mean when
-    ``fails(call_number)`` is true and the real fit otherwise."""
-    import dataclasses
-
-    from ddetest import families
-
-    real = families.FAMILIES[FamilyId.NORMAL]
-    calls = {"n": 0}
-
-    def fit(data):
-        calls["n"] += 1
-        return (math.nan, 1.0) if fails(calls["n"]) else real.fit(data)
-
-    monkeypatch.setitem(families.FAMILIES, FamilyId.NORMAL, dataclasses.replace(real, fit=fit))
-    return calls
+    assert sorted(seen) == [(r, a) for r in range(40) for a in range(4)]
 
 
 def test_nonfinite_refit_is_retried(monkeypatch):
     # every first attempt refits to NaN: a FitError, retried on a fresh stream
-    calls = _nan_fitter(monkeypatch, lambda i: i % 2 == 1)
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=50)
+    poisoned = {(r, 0) for r in range(5)}
+    seen = _poison_fits(monkeypatch, fitted, 50, 4, 5, poisoned, _nan_mean)
     boot = bootstrap_null(fitted, 50, 5, seed=4)
     assert boot.n_failed == 0 and boot.values.size == 5
-    assert calls["n"] == 10
+    assert sorted(seen) == [(r, a) for r in range(5) for a in (0, 1)]
+    monkeypatch.undo()
+    assert boot.values.tolist() == [_replayed(fitted, 50, 4, r, poisoned) for r in range(5)]
 
 
 def test_nonfinite_refits_abort_with_fit_error(monkeypatch):
-    _nan_fitter(monkeypatch, lambda i: True)
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=50)
+    seen = _poison_fits(monkeypatch, fitted, 50, 4, 10, None, _nan_mean)
     with pytest.raises(FitError, match="bootstrap replicates failed") as info:
         bootstrap_null(fitted, 50, 10, seed=4)
     assert info.value.exit_code == 4
+    assert sorted(seen) == [(r, a) for r in range(10) for a in range(4)]
 
 
-@pytest.mark.parametrize("model", [
-    FittedModel(FamilyId.GAMMA, (2.0, 1.5), n_fit=80),
-    FittedModel(FamilyId.LAPLACE, (1.0, 2.0), n_fit=80),
-])
+def test_data_error_in_a_replicate_is_retried(monkeypatch):
+    # a DataError (here a degenerate sample) is retried like a FitError
+    fitted = FittedModel(FamilyId.LAPLACE, (0.0, 1.0), n_fit=40)
+    poisoned = {(2, 0), (2, 1), (5, 0)}
+    seen = _poison_fits(monkeypatch, fitted, 40, 9, 8, poisoned, _degenerate)
+    boot = bootstrap_null(fitted, 40, 8, seed=9)
+    assert boot.n_failed == 0 and boot.values.size == 8
+    assert sorted(seen) == sorted([(r, 0) for r in range(8)] + [(2, 1), (2, 2), (5, 1)])
+    monkeypatch.undo()
+    assert boot.values.tolist() == [_replayed(fitted, 40, 9, r, poisoned) for r in range(8)]
+
+
+def test_quadrature_error_aborts_the_bootstrap(monkeypatch):
+    # a non-finite KDE entropy is not retried: the bootstrap stops with it
+    import ddetest.dde as dde_mod
+
+    def broken(*args):
+        raise QuadratureError("KDE entropy integrand is not finite inside the range",
+                              value=math.nan, error_estimate=math.inf)
+
+    monkeypatch.setattr(dde_mod, "_kde_entropy_rows", broken)
+    data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 50, substream("qerr"))
+    with pytest.raises(QuadratureError) as info:
+        run_test(FamilyId.NORMAL, data, n_boot=20, seed=1)
+    assert info.value.stage == "bootstrap" and info.value.exit_code == 5
+
+
+@pytest.mark.parametrize("model", _NULL_MODELS)
 def test_bootstrap_values_byte_identical_across_threads(model):
     runs = [bootstrap_null(model, 80, 37, seed=21, threads=t) for t in (1, 2, 3)]
     assert all(b.values.size == 37 for b in runs)
@@ -240,15 +310,16 @@ def test_bootstrap_values_byte_identical_across_threads(model):
     assert runs[2].values.tobytes() == runs[0].values.tobytes()
 
 
-def test_bootstrap_value_is_the_observed_statistic_of_its_sample():
-    # a replicate's batched DDE equals dde_statistic on the same draw
-    fitted = FittedModel(FamilyId.GAMMA, (2.0, 1.5), n_fit=60)
-    boot = bootstrap_null(fitted, 60, 3, seed=5)
-    for r in range(3):
-        x = sample(fitted, 60, substream(5, "boot", r, 0))
-        refit = fit_mle(FamilyId.GAMMA, x)
-        bw = select_bandwidth(FamilyId.GAMMA, refit, x)
-        assert boot.values[r] == dde_statistic(refit, x, bw)
+@pytest.mark.parametrize("model", _NULL_MODELS)
+def test_bootstrap_value_is_the_observed_statistic_of_its_sample(model, monkeypatch):
+    # a replicate's batched DDE equals dde_statistic on the same draw, also
+    # for replicate 1, whose first draw is made to fail
+    poisoned = {(1, 0)}
+    _poison_fits(monkeypatch, model, 60, 5, 4, poisoned, _raise_fit_error)
+    boot = bootstrap_null(model, 60, 4, seed=5)
+    monkeypatch.undo()
+    assert boot.values.size == 4
+    assert boot.values.tolist() == [_replayed(model, 60, 5, r, poisoned) for r in range(4)]
 
 
 @pytest.mark.parametrize("family", [FamilyId.NORMAL, FamilyId.LAPLACE])
@@ -267,6 +338,20 @@ def test_bootstrap_validates_sizes():
         bootstrap_null(fitted, 50, 0, seed=1)
     with pytest.raises(DataError):
         bootstrap_null(fitted, 2, 10, seed=1)
+
+
+@pytest.mark.parametrize("family, theta, n", [
+    (FamilyId.NORMAL, (0.0, 1.0), 3),
+    (FamilyId.LAPLACE, (0.0, 1.0), 3),
+    (FamilyId.EXPONENTIAL, (1.0,), 2),
+    (FamilyId.EXPONENTIAL, (1.0,), 3),
+])
+def test_bootstrap_below_the_bandwidth_minimum_is_a_data_error(family, theta, n):
+    # the fit would take n values but the bandwidth rule needs 4: every
+    # replicate would fail, so the call is refused before drawing any
+    with pytest.raises(DataError, match="bandwidth rule") as info:
+        bootstrap_null(FittedModel(family, theta), n, 20, seed=1)
+    assert info.value.exit_code == 3
 
 
 # --------------------------------------------------------------------------

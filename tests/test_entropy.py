@@ -11,9 +11,7 @@ from ddetest import (
 )
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
-from ddetest.entropy import (
-    DEFAULT_TOL, EntropyEstimate, EstimatorKind, _de_ml_quadrature, _kde_entropy_rows,
-)
+from ddetest.entropy import DEFAULT_TOL, _de_ml_quadrature, _kde_entropy_rows
 from ddetest.errors import InvalidParameterError
 from ddetest.families import Support, get_family
 from ddetest.quadrature import IntegrationRange, Scale, entropy_range, integrate, range_bounds
@@ -34,19 +32,17 @@ def _bw(h, n, scale=Scale.RAW):
 
 def test_de_ml_normal_unit_variance():
     est = de_ml(FittedModel(FamilyId.NORMAL, (0.3, 1.0)))
-    assert est.value == pytest.approx(HALF_LN_2PIE, abs=1e-12)
-    assert est.estimator is EstimatorKind.ML
-    assert est.bandwidth is None
+    assert est == pytest.approx(HALF_LN_2PIE, abs=1e-12)
 
 
 def test_de_ml_exponential():
     est = de_ml(FittedModel(FamilyId.EXPONENTIAL, (2.0,)))
-    assert est.value == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
+    assert est == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
 
 
 def test_de_ml_gamma_cross_checked_by_quadrature():
     fitted = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
-    closed = de_ml(fitted).value
+    closed = de_ml(fitted)
     quad = _de_ml_quadrature(fitted, tol=DEFAULT_TOL)
     assert closed == pytest.approx(1.8475785103630111, abs=1e-12)
     assert quad == pytest.approx(closed, abs=1e-8)
@@ -60,13 +56,6 @@ def test_de_ml_attaches_bias_diag_when_fit(tmp_path):
     assert cli_main(["entropy", "--data", str(csv), "--family", "exponential",
                      "--out", str(out)]) == 0
     assert json.loads(out.read_text())["bias_diag"] == pytest.approx(-1.0 / 100.0)
-
-
-def test_estimate_invariants():
-    with pytest.raises(InvalidParameterError):
-        EntropyEstimate(1.0, EstimatorKind.KDE, Scale.RAW)  # KDE without bandwidth
-    with pytest.raises(InvalidParameterError):
-        EntropyEstimate(1.0, EstimatorKind.ML, Scale.RAW, bandwidth=_bw(0.3, 50))
 
 
 # --------------------------------------------------------------------------
@@ -109,8 +98,7 @@ def test_de_kde_consistency_real_line():
     fitted = fit_mle(FamilyId.NORMAL, data)
     bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
     est = de_kde(data, bw, Support.REAL)
-    assert abs(est.value - HALF_LN_2PIE) < 0.02
-    assert est.scale is Scale.RAW and est.bandwidth is bw
+    assert abs(est - HALF_LN_2PIE) < 0.02
 
 
 def test_de_kde_consistency_ln_space():
@@ -120,8 +108,7 @@ def test_de_kde_consistency_ln_space():
     fitted = fit_mle(FamilyId.LOGNORMAL, data)
     bw = select_bandwidth(FamilyId.LOGNORMAL, fitted, data)
     est = de_kde(data, bw, Support.POSITIVE)
-    assert abs(est.value - HALF_LN_2PIE) < 0.03
-    assert est.scale is Scale.LN
+    assert abs(est - HALF_LN_2PIE) < 0.03
 
 
 def test_change_of_variables_identity():
@@ -151,18 +138,18 @@ def test_change_of_variables_identity():
     edges = np.exp(np.linspace(ln_rng.lower, ln_rng.upper, 129))
     edges[0], edges[-1] = raw_rng.lower, raw_rng.upper
     raw_val = integrate(raw_image_entropy, raw_rng, tol=1e-10, edges=edges)
-    assert raw_val == pytest.approx(est.value, abs=1e-8)
+    assert raw_val == pytest.approx(est, abs=1e-8)
 
 
 def test_de_kde_translation_invariant():
     data = substream("dekde-shift").normal(0.0, 1.0, 300)
     fitted = fit_mle(FamilyId.NORMAL, data)
     bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    v0 = de_kde(data, bw, Support.REAL).value
+    v0 = de_kde(data, bw, Support.REAL)
     shifted = data + 123.0
     fitted2 = fit_mle(FamilyId.NORMAL, shifted)
     bw2 = select_bandwidth(FamilyId.NORMAL, fitted2, shifted)
-    v1 = de_kde(shifted, bw2, Support.REAL).value
+    v1 = de_kde(shifted, bw2, Support.REAL)
     assert v1 == pytest.approx(v0, abs=1e-7)
 
 
@@ -171,12 +158,12 @@ def test_de_kde_log_scaling_law():
     data = substream("dekde-scale").normal(0.0, 1.0, 300)
     fitted = fit_mle(FamilyId.NORMAL, data)
     bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    v0 = de_kde(data, bw, Support.REAL).value
+    v0 = de_kde(data, bw, Support.REAL)
     for s in (0.5, 2.0, 8.0):
         scaled = s * data
         fitted_s = fit_mle(FamilyId.NORMAL, scaled)
         bw_s = select_bandwidth(FamilyId.NORMAL, fitted_s, scaled)
-        v1 = de_kde(scaled, bw_s, Support.REAL).value
+        v1 = de_kde(scaled, bw_s, Support.REAL)
         assert v1 == pytest.approx(v0 + math.log(s), abs=1e-6)
 
 
@@ -251,13 +238,13 @@ def test_fixed_rule_de_kde_matches_adaptive_oracle(family, data_model):
         for i in range(3):
             x = sample(data_model, n, substream("kde-oracle", family.value, n, i))
             bw = select_bandwidth(family, fit_mle(family, x), x)
-            assert abs(de_kde(x, bw, support).value - _de_kde_oracle(x, bw, support)) <= 1e-8
+            assert abs(de_kde(x, bw, support) - _de_kde_oracle(x, bw, support)) <= 1e-8
 
 
 def test_fixed_rule_de_kde_matches_adaptive_oracle_large_ln_space():
     x = substream("kde-oracle", "n20000").lognormal(1.0, 0.5, 20_000)
     bw = select_bandwidth(FamilyId.GAMMA, fit_mle(FamilyId.GAMMA, x), x)
-    value = de_kde(x, bw, Support.POSITIVE).value
+    value = de_kde(x, bw, Support.POSITIVE)
     assert abs(value - _de_kde_oracle(x, bw, Support.POSITIVE)) <= 1e-8
 
 
@@ -331,6 +318,6 @@ def test_integral_estimator_empirical_bias_characterization():
     errs = np.empty(reps)
     for r in range(reps):
         x = substream("char-bias", r).normal(0.0, 1.0, n)
-        errs[r] = de_kde(x, _bw(h, n), Support.REAL).value - HALF_LN_2PIE
+        errs[r] = de_kde(x, _bw(h, n), Support.REAL) - HALF_LN_2PIE
     se = errs.std(ddof=1) / math.sqrt(reps)
     assert abs(errs.mean() - 0.0646) < 4.0 * math.hypot(se, 0.0016)

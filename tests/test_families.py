@@ -14,7 +14,7 @@ from ddetest import (
 from ddetest import families
 from ddetest.entropy import DEFAULT_TOL, _de_ml_quadrature, de_ml
 from ddetest.errors import (
-    DataError, DegenerateDataError, FitError, InvalidParameterError, SupportError,
+    DataError, DdeError, DegenerateDataError, FitError, InvalidParameterError, SupportError,
 )
 from ddetest.families import Support, get_family
 from ddetest.montecarlo import NULL_MEMBERS, SIMULATED_NULLS, table4_alternatives
@@ -26,7 +26,8 @@ def test_family_table_contract():
     # every per-family fact the pipeline looks up lives on Family
     for fid in FamilyId:
         fam = get_family(fid)
-        assert all(callable(f) for f in (fam.validate, fam.log_pdf, fam.sampler)), fid
+        assert all(callable(f) for f in (fam.log_pdf, fam.sampler)), fid
+        assert set(fam.positive) <= set(fam.param_names), fid
     for fid in TESTABLE_NULLS:
         fam = get_family(fid)
         for name in ("fit", "entropy", "kurtosis", "working_moments"):
@@ -143,7 +144,7 @@ def test_gengamma_reduces_to_weibull_and_rayleigh():
 ])
 def test_closed_form_matches_quadrature(family, theta):
     fitted = FittedModel(family, theta)
-    closed = de_ml(fitted).value
+    closed = de_ml(fitted)
     quad = _de_ml_quadrature(fitted, tol=DEFAULT_TOL)
     assert closed == pytest.approx(quad, abs=1e-6)
 
@@ -192,6 +193,32 @@ def test_fit_mean_is_bit_identical_to_np_mean():
         v = scale * (rng.standard_normal(n) + rng.uniform(-3.0, 3.0))
         for arr in (v, v[::3], np.abs(v)):
             assert families._mean(arr).tobytes() == np.mean(arr).tobytes()
+    # and row by row along a (rows, n) array, as the bootstrap takes them
+    for rows, n in ((1, 5), (7, 50), (1310, 100), (41, 3000), (6, 20000)):
+        block = rng.standard_normal((rows, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (rows, 1))
+        expected = np.array([np.mean(row) for row in block])
+        assert families._mean(block).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("family", TESTABLE_NULLS)
+def test_row_fit_is_the_one_row_fit_of_each_row(family):
+    # fitting a group of rows gives each row's fit_mle bits, and each failing
+    # row carries the error fit_mle raises on it alone
+    rows = substream("row-fit", family.value).gamma(2.0, 1.5, size=(12, 40))
+    rows[3] = 1.0  # degenerate
+    rows[5, 7] = np.inf  # non-finite
+    rows[8, 2] = -1.0  # outside the positive support
+    rows[10] = np.abs(rows[10]) ** 6  # a row the gamma solver takes longer over
+    theta, failures = families._fit_rows(family, rows)
+    assert set(failures) >= {3, 5}
+    for i, row in enumerate(rows):
+        try:
+            expected = fit_mle(family, row).theta
+        except DdeError as exc:
+            assert type(failures[i]) is type(exc) and str(failures[i]) == str(exc)
+        else:
+            assert i not in failures
+            assert tuple(float(col[i]) for col in theta) == expected
 
 
 def test_exponential_mle_is_sample_mean():
@@ -361,8 +388,11 @@ def test_gamma_fit_small_coefficient_of_variation(cv):
 def test_nonfinite_fit_raises_fit_error(monkeypatch):
     # an invalid fitted theta is a failed fit (exit 4), not a usage error
     real = families.FAMILIES[FamilyId.NORMAL]
-    monkeypatch.setitem(families.FAMILIES, FamilyId.NORMAL,
-                        dataclasses.replace(real, fit=lambda data: (math.nan, 1.0)))
+
+    def fit(rows):
+        return (np.full(len(rows), math.nan), np.ones(len(rows))), {}
+
+    monkeypatch.setitem(families.FAMILIES, FamilyId.NORMAL, dataclasses.replace(real, fit=fit))
     with pytest.raises(FitError, match="invalid parameters") as info:
         fit_mle(FamilyId.NORMAL, np.array([1.0, 2.0, 4.0]))
     assert info.value.exit_code == 4

@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from ddetest.streams import stable_key, stable_seed, substream
+from ddetest.families import FAMILIES, FamilyId
+from ddetest.streams import _PrefixStreams, stable_key, stable_seed, substream
+
+_THETA = {
+    FamilyId.NORMAL: (0.5, 2.0), FamilyId.EXPONENTIAL: (2.0,), FamilyId.GAMMA: (0.7, 1.5),
+    FamilyId.LAPLACE: (0.0, 1.0), FamilyId.LOGNORMAL: (0.3, 0.5),
+    FamilyId.GENGAMMA: (2.0, 3.0, 1.5), FamilyId.LOGISTIC: (0.0, 1.0),
+    FamilyId.CAUCHY: (0.0, 1.0), FamilyId.SCALED_T: (3.0, 1.0), FamilyId.RAYLEIGH: (1.0,),
+    FamilyId.LOGLOGISTIC: (3.0, 1.0), FamilyId.LOMAX: (3.0, 1.0), FamilyId.WEIBULL: (1.5, 2.0),
+    FamilyId.INV_GAUSSIAN: (1.0, 2.0),
+}
 
 
 def test_substream_is_pure_function_of_path():
@@ -39,3 +49,17 @@ def test_key_is_stable_across_calls():
 def test_rejects_unhashable_parts():
     with pytest.raises(TypeError):
         stable_key([1, 2])
+
+
+def test_rekeyed_streams_draw_what_substream_draws():
+    # one rekeyed Philox, reused across every sampler in the family table,
+    # replicates and attempts 0-3, gives substream's draws byte for byte
+    assert set(_THETA) == set(FAMILIES)
+    streams = _PrefixStreams(42, "boot")
+    for r in range(3):
+        for fid, fam in FAMILIES.items():
+            for attempt in range(4):
+                n = 7 + 31 * attempt
+                ours = fam.sampler(_THETA[fid], n, streams(r, attempt))
+                theirs = fam.sampler(_THETA[fid], n, substream(42, "boot", r, attempt))
+                assert ours.tobytes() == theirs.tobytes(), (fid, r, attempt)
