@@ -15,19 +15,23 @@ The reject flag follows the p-value rule (the exact finite-simulation rank
 test); the interval decision is reported alongside.
 
 The pipeline of a replicate runs row-wise over a group of replicates at
-once: the group's samples form a (rows, n) array, and the refit
-(``families._fit_rows``), the bandwidth rule (``bandwidth._bandwidth_rows``),
-DE_ML (the family's entropy over the fitted parameter columns) and DE_KDE
-(``entropy._kde_entropy_rows``) each run once per group.  ``fit_mle``,
-``select_bandwidth``, ``de_ml`` and ``de_kde`` are the one-row calls of the
-same code, which the observed statistic uses.  Every replicate draws from a
-stream that is a pure function of (seed, replicate, attempt), and every
-row-wise stage reduces along rows only, so a replicate's value is
-bit-identical alone or in any group, and results are bit-identical
-regardless of how replicates are scheduled across workers.
+once: ``_dde_rows`` takes the group's samples as a (rows, n) array and runs
+the refit (``families._fit_rows``), the bandwidth rule
+(``bandwidth._bandwidth_rows``), DE_ML (the family's entropy over the fitted
+parameter columns) and DE_KDE (``entropy._kde_entropy``) once over them.
+Each attempt of a group makes one such call: attempt 0 on every replicate,
+attempts 1-3 on the rows that failed the attempt before, redrawn together.
+A group holds at most ``KDE_BLOCK_BYTES`` of samples, and with a pool (at
+n_boot >= 8) at most ⌈n_boot / (4 threads)⌉ replicates; each pool task is
+one group.  ``fit_mle``, ``select_bandwidth``, ``de_ml`` and ``de_kde`` are
+the one-row calls of the same code, which the observed statistic uses.
+Every replicate draws from a stream that is a pure function of (seed,
+replicate, attempt), and every row-wise stage reduces along rows only, so a
+replicate's value is bit-identical alone or in any group, and results are
+bit-identical regardless of how replicates are scheduled across workers.
 
 Parallelism happens at one level, with one process pool.  A lone test
-(``ddetest test``) spreads chunks of bootstrap replicates over ``threads``
+(``ddetest test``) spreads groups of bootstrap replicates over ``threads``
 workers; a Monte Carlo experiment (``montecarlo.run_experiment``) instead
 spreads whole tests over its workers and runs each bootstrap serially.  Both
 go through ``_ordered_map``.  The default worker count is the number of cores
@@ -45,10 +49,9 @@ import numpy as np
 from .bandwidth import (
     MIN_SIZE as MIN_BANDWIDTH_SIZE, BandwidthSpec, _bandwidth_rows, _working_rows, select_bandwidth,
 )
-from .entropy import KDE_BLOCK_BYTES, _kde_entropy_rows, de_kde, de_ml
+from .entropy import KDE_BLOCK_BYTES, _kde_entropy, de_kde, de_ml
 from .errors import DataError, DdeError, FitError, InvalidParameterError, UsageError, first_failures
-from .families import Family, FamilyId, FittedModel, Support, _fit_rows, fit_mle, get_family
-from .quadrature import range_bounds
+from .families import Family, FamilyId, FittedModel, _fit_rows, fit_mle, get_family
 from .streams import _PrefixStreams
 
 DEFAULT_N_BOOT = 1000
@@ -102,12 +105,13 @@ def dde_statistic(fitted: FittedModel, data, bw: BandwidthSpec) -> float:
     return de_ml(fitted) - de_kde(data, bw, get_family(fitted.family).support)
 
 
-def _replicate_rows(fam: Family, fitted: FittedModel, rows: np.ndarray, theta_fixed: bool):
-    """Refit, bandwidth and DE_ML of each row of a (rows, n) array of draws.
+def _dde_rows(fam: Family, fitted: FittedModel, rows: np.ndarray, theta_fixed: bool):
+    """Bootstrap DDE of each row of a (rows, n) array of draws from ``fitted``:
+    refit (unless ``theta_fixed``), working scale, bandwidth, DE_ML and DE_KDE.
 
-    Returns (DE_ML, the rows on the working scale, h, failures), where
-    failures holds the rows whose refit, bandwidth or their data checks
-    raised FitError or DataError; a failed row's values are meaningless.
+    Returns (values, failures), where failures holds the rows whose refit,
+    bandwidth or their data checks raised FitError or DataError.  A failed
+    row's value is NaN, and the row never reaches the KDE.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # failed rows carry on as garbage
         if theta_fixed:
@@ -117,46 +121,34 @@ def _replicate_rows(fam: Family, fitted: FittedModel, rows: np.ndarray, theta_fi
         working, _, support_failures = _working_rows(fam.family_id, rows)
         h, _, _, bw_failures = _bandwidth_rows(fam.family_id, fam.kurtosis(theta), working)
         ml = np.full(h.shape, fam.entropy(theta))
-    return ml, working, h, first_failures(failures, support_failures, bw_failures)
+    failures = first_failures(failures, support_failures, bw_failures)
+    ok = np.ones(h.shape, dtype=bool)
+    ok[list(failures)] = False
+    values = np.full(h.shape, np.nan)
+    values[ok] = ml[ok] - _kde_entropy(working[ok], h[ok], fam.support)
+    return values, failures
 
 
-def _replicate_batch(args) -> np.ndarray:
+def _replicate_group(args) -> np.ndarray:
     """Bootstrap DDE values for replicates start..stop-1; NaN where every
     attempt failed.
 
-    Replicates run in groups whose (rows, n) samples fit in
-    ``KDE_BLOCK_BYTES``.  Each row of a group draws attempt 0 from its own
-    stream; refit, bandwidth and DE_ML then run once over the group, and only
-    the rows that failed are redrawn, one at a time, at attempts 1-3.  The KDE
-    entropies of the group's surviving rows come from one
-    ``_kde_entropy_rows`` call.
+    Attempt a draws every replicate still pending from its own stream
+    (seed, "boot", r, a) and runs ``_dde_rows`` once over them; the rows
+    that failed stay pending for the next attempt.
     """
     fitted, n, seed, start, stop, theta_fixed = args
     fam = get_family(fitted.family)
     streams = _PrefixStreams(seed, "boot")
-    group = max(1, KDE_BLOCK_BYTES // (8 * n))
     out = np.full(stop - start, np.nan)
-    for g0 in range(start, stop, group):
-        g1 = min(g0 + group, stop)
-        rows = np.empty((g1 - g0, n))
-        for i in range(g1 - g0):
-            rows[i] = fam.sampler(fitted.theta, n, streams(g0 + i, 0))
-        ml, working, h, failures = _replicate_rows(fam, fitted, rows, theta_fixed)
-        del rows  # on positive support the raw draws need not outlive the KDE below
-        ok = np.ones(g1 - g0, dtype=bool)
-        for i in failures:
-            ok[i] = False
-            for attempt in range(1, _MAX_ATTEMPTS):
-                x = fam.sampler(fitted.theta, n, streams(g0 + i, attempt))
-                ml_i, working_i, h_i, failed = _replicate_rows(fam, fitted, x[None, :], theta_fixed)
-                if not failed:
-                    ml[i], working[i], h[i], ok[i] = ml_i[0], working_i[0], h_i[0], True
-                    break
-        working, h = working[ok], h[ok]
-        shift = working.mean(axis=1) if fam.support is Support.POSITIVE else 0.0
-        lower, upper = range_bounds(working, h)
-        kde = _kde_entropy_rows(working, h, lower, upper) + shift
-        out[g0 - start:g1 - start][ok] = ml[ok] - kde
+    pending = np.arange(start, stop)
+    for attempt in range(_MAX_ATTEMPTS):
+        rows = np.array([fam.sampler(fitted.theta, n, streams(r, attempt)) for r in pending])
+        values, failures = _dde_rows(fam, fitted, rows, theta_fixed)
+        out[pending - start] = values
+        pending = pending[sorted(failures)]
+        if not pending.size:
+            break
     return out
 
 
@@ -203,6 +195,12 @@ def _ordered_map(fn, tasks, threads: int):
         pool.shutdown(wait=True, cancel_futures=True)
 
 
+def _min_test_size(family: FamilyId | str) -> int:
+    """The smallest sample a test of the null takes: the larger of the fit's
+    minimum and the bandwidth rule's."""
+    return max(get_family(family).min_fit_size, MIN_BANDWIDTH_SIZE)
+
+
 def bootstrap_null(
     fitted: FittedModel,
     n: int,
@@ -216,15 +214,17 @@ def bootstrap_null(
 
     Each replicate resamples n draws from ``fitted``, refits (unless the
     hypothesis is simple, ``theta_fixed=True``), reselects the bandwidth with
-    the same rule, and recomputes both entropy estimates.
+    the same rule, and recomputes both entropy estimates, in the groups of
+    replicates the module docstring describes.
 
     Failure policy inside a replicate, by error class:
 
     * ``FitError`` or ``DataError`` (the refit, the bandwidth rule or the
       data checks before them): the replicate is redrawn from a fresh
-      sub-stream, ``(seed, "boot", r, attempt)`` for attempts 1-3, and
-      dropped after its fourth failure; the run aborts with ``FitError`` if
-      more than 1% of the replicates are dropped.
+      sub-stream, ``(seed, "boot", r, attempt)`` for attempts 1-3, together
+      with the other replicates of its group that failed the same attempt,
+      and dropped after its fourth failure; the run aborts with
+      ``FitError`` if more than 1% of the replicates are dropped.
     * ``QuadratureError`` (a non-finite KDE entropy): the bootstrap aborts;
       ``run_test`` reports it at stage ``bootstrap``.
     """
@@ -233,16 +233,18 @@ def bootstrap_null(
     fam = get_family(fitted.family)
     if not fam.testable:
         raise FitError(f"{fam.family_id.value} is not a testable null (sampler-only)")
-    need = max(fam.min_fit_size, MIN_BANDWIDTH_SIZE)
+    need = _min_test_size(fam.family_id)
     if n < need:
         raise DataError(
             f"bootstrap sample size {n} is below {need}, the minimum of the "
             f"{fam.family_id.value} fit and of the bandwidth rule"
         )
-    chunk = n_boot if threads <= 1 or n_boot < 8 else math.ceil(n_boot / (threads * 4))
-    tasks = [(fitted, n, seed, s, min(s + chunk, n_boot), theta_fixed)
-             for s in range(0, n_boot, chunk)]
-    values = np.concatenate(list(_ordered_map(_replicate_batch, tasks, threads)))
+    group = max(1, KDE_BLOCK_BYTES // (8 * n))
+    if threads > 1 and n_boot >= 8:
+        group = min(group, math.ceil(n_boot / (threads * 4)))
+    tasks = [(fitted, n, seed, s, min(s + group, n_boot), theta_fixed)
+             for s in range(0, n_boot, group)]
+    values = np.concatenate(list(_ordered_map(_replicate_group, tasks, threads)))
     failed = int(np.count_nonzero(np.isnan(values)))
     if failed > _MAX_FAILURE_FRACTION * n_boot:
         raise FitError(

@@ -12,9 +12,10 @@ Two estimators of -∫ f ln f dx (nats):
   which is exact by change of variables.  The integral -∫_R f̂ ln f̂ is a
   fixed rule, not an adaptive one: 10-point Gauss–Legendre on ⌈W/2h⌉
   equal panels of R (``_kde_entropy_rows``), within 1e-9 of the adaptive
-  integral at tol 1e-12 on the testable nulls.  The same kernel evaluates
-  many samples at once; the bootstrap calls it once per group of
-  replicates.
+  integral at tol 1e-12 on the testable nulls.  ``_kde_entropy`` is the
+  one KDE tail, for the rows of a (rows, n) working-scale array: the range
+  rule, the fixed rule and the ln-space shift.  ``de_kde`` is its one-row
+  call; the bootstrap calls it once per group of replicates.
 
 The bias formulas (``ml_entropy_bias``, ``kde_smoothing_bias``) are
 diagnostics only: the bootstrap calibration reproduces both biases on its
@@ -40,7 +41,9 @@ from scipy.special import xlogy
 from .bandwidth import BandwidthSpec
 from .errors import InvalidParameterError, QuadratureError, SupportError
 from .families import FamilyId, FittedModel, Support, closed_form_entropy, get_family, log_pdf
-from .quadrature import IntegrationRange, Scale, entropy_range, integrate
+from .quadrature import (
+    RANGE_BANDWIDTH_MULTIPLE, IntegrationRange, Scale, entropy_range, integrate, range_bounds,
+)
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ∫ K^2 for the standard normal kernel = 1/(2 sqrt(pi))
@@ -160,6 +163,18 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     return values
 
 
+def _kde_entropy(working: np.ndarray, h: np.ndarray, support: Support,
+                 m: float = RANGE_BANDWIDTH_MULTIPLE) -> np.ndarray:
+    """DE_KDE of each row of a (rows, n) working-scale array, row r smoothed
+    with bandwidth h[r]: the range rule (``range_bounds`` at multiple m), the
+    fixed rule (``_kde_entropy_rows``) and, on positive support, the ln-space
+    shift mean(ln x).  Nothing checks the rows: each must be finite and vary.
+    """
+    lower, upper = range_bounds(working, h, m)
+    values = _kde_entropy_rows(working, h, lower, upper)
+    return values + working.mean(axis=1) if support is Support.POSITIVE else values
+
+
 def de_kde(
     data,
     bw: BandwidthSpec,
@@ -170,11 +185,12 @@ def de_kde(
     """Kernel plug-in entropy over the quantile-based integration range.
 
     On positive support the kernel smooths y = ln(x) and the estimate is
-    -∫ g ln g dy + mean(y).  The integral is the fixed Gauss–Legendre rule
-    of ``_kde_entropy_rows`` (one row).  ``range_multiple`` overrides the
-    default bandwidth multiple of the integration-range rule
-    (tail-sensitivity studies; the ln-space identity is exact only as the
-    range widens, since the mean term integrates the kernel tails in full).
+    -∫ g ln g dy + mean(y).  The one-row call of ``_kde_entropy``, after
+    the checks of the bandwidth's scale and those of ``entropy_range``.
+    ``range_multiple`` overrides the default bandwidth multiple of the
+    integration-range rule (tail-sensitivity studies; the ln-space identity
+    is exact only as the range widens, since the mean term integrates the
+    kernel tails in full).
     """
     data = np.asarray(data, dtype=float)
     if support is Support.POSITIVE:
@@ -182,21 +198,12 @@ def de_kde(
             raise InvalidParameterError("positive-support KDE requires an ln-scale bandwidth")
         if np.min(data) <= 0.0:
             raise SupportError("positive-support KDE requires strictly positive data")
-        working = np.log(data)
-        shift = float(np.mean(working))
-    else:
-        if bw.scale is not Scale.RAW:
-            raise InvalidParameterError("real-support KDE requires a raw-scale bandwidth")
-        working = data
-        shift = 0.0
-    if range_multiple is None:
-        rng = entropy_range(data, bw.h, support)
-    else:
-        rng = entropy_range(data, bw.h, support, m=range_multiple)
-    value = _kde_entropy_rows(
-        working[None, :], np.array([bw.h]), np.array([rng.lower]), np.array([rng.upper]),
-    )[0] + shift
-    return float(value)
+    elif bw.scale is not Scale.RAW:
+        raise InvalidParameterError("real-support KDE requires a raw-scale bandwidth")
+    m = RANGE_BANDWIDTH_MULTIPLE if range_multiple is None else range_multiple
+    entropy_range(data, bw.h, support, m=m)  # its checks of the data and bandwidth
+    working = np.log(data) if support is Support.POSITIVE else data
+    return float(_kde_entropy(working[None, :], np.array([bw.h]), support, m)[0])
 
 
 # --------------------------------------------------------------------------

@@ -167,132 +167,108 @@ class FittedModel:
 
 
 # --------------------------------------------------------------------------
-# log-densities (vectorized over x; -inf outside the support)
+# log-densities (arrays in, arrays out; -inf outside the support)
 # --------------------------------------------------------------------------
-
-def _with_support_mask(x, mask, values):
-    out = np.where(mask, values, _NEG_INF)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
-
 
 def _logpdf_normal(theta, x):
     u, s2 = theta
-    x = np.asarray(x, dtype=float)
-    val = -0.5 * (_LN_2PI + math.log(s2)) - (x - u) ** 2 / (2.0 * s2)
-    return float(val) if val.ndim == 0 else val
+    return -0.5 * (_LN_2PI + math.log(s2)) - (x - u) ** 2 / (2.0 * s2)
 
 
 def _logpdf_exponential(theta, x):
     (t,) = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(invalid="ignore"):
         val = -math.log(t) - x / t
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_gamma(theta, x):
     a, b = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (a - 1.0) * np.log(x) - x / b - a * math.log(b) - log_gamma(a)
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_laplace(theta, x):
     u, b = theta
-    x = np.asarray(x, dtype=float)
-    val = -math.log(2.0 * b) - np.abs(x - u) / b
-    return float(val) if val.ndim == 0 else val
+    return -math.log(2.0 * b) - np.abs(x - u) / b
 
 
 def _logpdf_lognormal(theta, x):
     u, s2 = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         lx = np.log(x)
         val = -lx - 0.5 * (_LN_2PI + math.log(s2)) - (lx - u) ** 2 / (2.0 * s2)
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_gengamma(theta, x):
     a, d, p = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lx = np.log(x)
         # (x/a)^p computed in log space to avoid premature overflow
         pw = np.exp(np.minimum(p * (lx - math.log(a)), 709.0))
         val = (math.log(p) + (d - 1.0) * lx - d * math.log(a)
                - log_gamma(d / p) - pw)
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_logistic(theta, x):
     u, s = theta
-    x = np.asarray(x, dtype=float)
     z = np.abs(x - u) / s
-    val = -z - 2.0 * np.log1p(np.exp(-z)) - math.log(s)
-    return float(val) if val.ndim == 0 else val
+    return -z - 2.0 * np.log1p(np.exp(-z)) - math.log(s)
 
 
 def _logpdf_cauchy(theta, x):
     x0, g = theta
-    x = np.asarray(x, dtype=float)
-    val = -math.log(math.pi * g) - np.log1p(((x - x0) / g) ** 2)
-    return float(val) if val.ndim == 0 else val
+    return -math.log(math.pi * g) - np.log1p(((x - x0) / g) ** 2)
 
 
 def _logpdf_scaled_t(theta, x):
     df, s = theta
-    x = np.asarray(x, dtype=float)
     z = x / s
-    val = (log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
-           - 0.5 * math.log(df * math.pi) - math.log(s)
-           - 0.5 * (df + 1.0) * np.log1p(z * z / df))
-    return float(val) if val.ndim == 0 else val
+    return (log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
+            - 0.5 * math.log(df * math.pi) - math.log(s)
+            - 0.5 * (df + 1.0) * np.log1p(z * z / df))
 
 
 def _logpdf_rayleigh(theta, x):
     (sig,) = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = np.log(x) - 2.0 * math.log(sig) - x * x / (2.0 * sig * sig)
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_loglogistic(theta, x):
     shape, scale = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lz = np.log(x) - math.log(scale)
         val = (math.log(shape) - math.log(scale) + (shape - 1.0) * lz
                - 2.0 * np.log1p(np.exp(np.minimum(shape * lz, 709.0))))
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_lomax(theta, x):
     shape, scale = theta
-    x = np.asarray(x, dtype=float)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         val = math.log(shape) - math.log(scale) - (shape + 1.0) * np.log1p(x / scale)
-    return _with_support_mask(x, x >= 0, val)
+    return np.where(x >= 0, val, _NEG_INF)
 
 
 def _logpdf_invgaussian(theta, x):
     mu, lam = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         val = (0.5 * (math.log(lam) - _LN_2PI - 3.0 * np.log(x))
                - lam * (x - mu) ** 2 / (2.0 * mu * mu * x))
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 def _logpdf_weibull(theta, x):
     k, lam = theta
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lz = np.log(x) - math.log(lam)
         val = math.log(k) + (k - 1.0) * lz - math.log(lam) - np.exp(np.minimum(k * lz, 709.0))
-    return _with_support_mask(x, x > 0, val)
+    return np.where(x > 0, val, _NEG_INF)
 
 
 # --------------------------------------------------------------------------
@@ -912,8 +888,13 @@ def get_family(family: FamilyId | str) -> Family:
 # --------------------------------------------------------------------------
 
 def log_pdf(model: FittedModel, x):
-    """ln f(x; theta); -inf outside the family's support."""
-    return get_family(model.family).log_pdf(model.theta, x)
+    """ln f(x; theta); -inf outside the family's support.
+
+    A float for a scalar x, else an array of x's shape: the family's
+    ``log_pdf`` takes and returns arrays.
+    """
+    out = get_family(model.family).log_pdf(model.theta, np.asarray(x, dtype=float))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _data_failures(fam: Family, rows: np.ndarray) -> RowFailures:

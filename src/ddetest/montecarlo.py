@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .dde import _ordered_map, run_test
+from .dde import _min_test_size, _ordered_map, run_test
 from .errors import DdeError, UsageError
 from .families import FamilyId, FittedModel, get_family, sample
 from .streams import stable_seed, substream
@@ -120,10 +120,13 @@ class ExperimentSpec:
             raise UsageError(f"n_boot must be >= 1, got {self.n_boot}")
         if not 0.0 < self.alpha < 1.0:
             raise UsageError(f"alpha must be in (0, 1), got {self.alpha}")
-        min_n = get_family(self.null_family).min_fit_size
+        need = _min_test_size(self.null_family)
         for n in self.n_grid:
-            if n < max(min_n, 4):
-                raise UsageError(f"sample size {n} is below the minimum usable size")
+            if n < need:
+                raise UsageError(
+                    f"sample size {n} is below {need}, the minimum test size of the "
+                    f"{self.null_family.value} null"
+                )
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,13 @@ extension on each panel and bisects panels whose |K15 - G7| discrepancy
 exceeds their width-share of the tolerance.  All panels pending in a round
 are evaluated in one vectorized call.  It serves the model-density entropy
 oracle ``entropy._de_ml_quadrature`` and the tests; the KDE entropy uses a
-fixed Gauss–Legendre rule of its own (``entropy._kde_entropy_rows``).
+fixed Gauss–Legendre rule of its own (``entropy._kde_entropy``).
 
 Integration ranges for entropy functionals follow the quantile rule: the
 0.001 and 0.999 sample quantiles, pushed out by a fixed multiple of the
 bandwidth, on the raw scale for real-supported data and on the ln scale for
 positive-supported data.  ``range_bounds`` is that rule for the rows of a
-(rows, n) array.
+(rows, n) array, as ``entropy._kde_entropy`` applies it.
 """
 from __future__ import annotations
 

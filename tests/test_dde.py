@@ -287,6 +287,32 @@ def test_data_error_in_a_replicate_is_retried(monkeypatch):
     assert boot.values.tolist() == [_replayed(fitted, 40, 9, r, poisoned) for r in range(8)]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_failed_rows_are_retried_together(monkeypatch, threads):
+    # the rows of a group that fail an attempt are redrawn together at the
+    # next one: one fitter call per attempt, not one per failed row
+    from ddetest import families
+
+    fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0), n_fit=40)
+    poisoned = {(0, 0), (2, 0), (2, 1), (3, 0)}
+    _poison_fits(monkeypatch, fitted, 40, 6, 16, poisoned, _raise_fit_error)
+    poisoned_fam = families.FAMILIES[fitted.family]
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return poisoned_fam.fit(rows)
+
+    monkeypatch.setitem(families.FAMILIES, fitted.family,
+                        dataclasses.replace(poisoned_fam, fit=counted))
+    boot = bootstrap_null(fitted, 40, 16, seed=6, threads=threads)
+    assert boot.n_failed == 0 and boot.values.size == 16
+    if threads == 1:  # forked workers do not report their calls back
+        assert calls == [16, 3, 1]
+    monkeypatch.undo()
+    assert boot.values.tolist() == [_replayed(fitted, 40, 6, r, poisoned) for r in range(16)]
+
+
 def test_quadrature_error_aborts_the_bootstrap(monkeypatch):
     # a non-finite KDE entropy is not retried: the bootstrap stops with it
     import ddetest.dde as dde_mod
@@ -295,7 +321,7 @@ def test_quadrature_error_aborts_the_bootstrap(monkeypatch):
         raise QuadratureError("KDE entropy integrand is not finite inside the range",
                               value=math.nan, error_estimate=math.inf)
 
-    monkeypatch.setattr(dde_mod, "_kde_entropy_rows", broken)
+    monkeypatch.setattr(dde_mod, "_kde_entropy", broken)
     data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 50, substream("qerr"))
     with pytest.raises(QuadratureError) as info:
         run_test(FamilyId.NORMAL, data, n_boot=20, seed=1)

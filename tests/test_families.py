@@ -61,11 +61,28 @@ def test_gamma_density_hand_value():
     assert log_pdf(m, 2.0) == pytest.approx(math.log(2.0) - 2.0, abs=1e-12)
 
 
-def test_log_pdf_vectorized_with_support_mask():
-    m = FittedModel(FamilyId.LOGNORMAL, (0.0, 1.0))
-    vals = log_pdf(m, np.array([-1.0, 0.0, 1.0]))
-    assert vals[0] == -math.inf and vals[1] == -math.inf
-    assert vals[2] == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
+@pytest.mark.parametrize("fid", list(FamilyId), ids=lambda f: f.value)
+def test_log_pdf_vectorized_with_support_mask(fid):
+    # an array of x's shape for an array x, a float equal to the matching
+    # element for a scalar x, and -inf off the support
+    fam = get_family(fid)
+    m = FittedModel(fid, (1.0,) * fam.n_params)
+    x = np.array([-1.0, 0.0, 0.5, 2.0])
+    vals = log_pdf(m, x)
+    assert isinstance(vals, np.ndarray) and vals.shape == x.shape
+    assert log_pdf(m, x.reshape(2, 2)).tolist() == vals.reshape(2, 2).tolist()
+    for xi, v in zip(x, vals):
+        for scalar in (xi, float(xi), np.array(xi)):
+            value = log_pdf(m, scalar)
+            assert type(value) is float and value == v, (xi, type(scalar))
+    if fam.support is Support.POSITIVE:
+        outside = x < 0 if fid is FamilyId.LOMAX else x <= 0
+    else:
+        outside = np.zeros(x.shape, dtype=bool)
+    assert np.all(vals[outside] == -math.inf) and np.all(np.isfinite(vals[~outside]))
+    if fid is FamilyId.LOGNORMAL:
+        standard = FittedModel(fid, (0.0, 1.0))
+        assert log_pdf(standard, 1.0) == pytest.approx(-0.5 * math.log(2 * math.pi), abs=1e-12)
 
 
 def test_invalid_parameters_rejected():

@@ -2,8 +2,12 @@ import math
 
 import pytest
 
-from ddetest import FamilyId, dgp_moments, sample, substream
-from ddetest.errors import UsageError
+from ddetest import (
+    FamilyId, FittedModel, TESTABLE_NULLS, bootstrap_null, dgp_moments, sample, substream,
+)
+from ddetest.bandwidth import MIN_SIZE as BANDWIDTH_MIN_SIZE
+from ddetest.errors import DataError, UsageError
+from ddetest.families import get_family
 from ddetest.montecarlo import (
     ExperimentSpec, NULL_MEMBERS, SIMULATED_NULLS, SimCell, dgp_label, run_experiment,
     table4_alternatives, table4_campaign,
@@ -89,6 +93,18 @@ def test_experiment_spec_validation():
         ExperimentSpec(FamilyId.NORMAL, dgp, (2,), reps=5, n_boot=10, alpha=0.05, master_seed=1)
     with pytest.raises(UsageError):
         ExperimentSpec(FamilyId.NORMAL, dgp, (50,), reps=5, n_boot=10, alpha=1.2, master_seed=1)
+    # one minimum test size, the larger of the fit's and the bandwidth
+    # rule's, for the spec and the bootstrap alike; the bootstrap keeps theta
+    # fixed, since a 4-point sample rarely has an interior GG maximum
+    for fid in TESTABLE_NULLS:
+        need = max(get_family(fid).min_fit_size, BANDWIDTH_MIN_SIZE)
+        model = FittedModel(fid, (1.0,) * get_family(fid).n_params)
+        with pytest.raises(UsageError, match=f"below {need}, the minimum test size"):
+            ExperimentSpec(fid, model, (need - 1,), reps=5, n_boot=10, alpha=0.05, master_seed=1)
+        with pytest.raises(DataError, match=f"below {need}"):
+            bootstrap_null(model, need - 1, 10, seed=1, theta_fixed=True)
+        ExperimentSpec(fid, model, (need,), reps=5, n_boot=10, alpha=0.05, master_seed=1)
+        assert bootstrap_null(model, need, 10, seed=1, theta_fixed=True).values.size == 10
 
 
 def test_single_replicate_smoke_campaign():
