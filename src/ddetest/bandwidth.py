@@ -11,14 +11,13 @@ positive-supported nulls.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
-    DataError, DegenerateDataError, InvalidParameterError, RowFailures, SupportError,
+    DataError, DegenerateDataError, RowFailures, SupportError,
     first_failures, raise_row_failure, row_failures,
 )
 from .families import FamilyId, FittedModel, Support, _mean, get_family, null_kurtosis
@@ -160,9 +159,8 @@ def _bandwidth_rows(null_family: FamilyId, kappa0, working: np.ndarray):
     """h = k(n) c σ̂ n^(-1/5) for each row of a (rows, n) working-scale array.
 
     ``kappa0`` is the null-implied kurtosis of each row's fit (or one value
-    for all rows); NaN, for a null without one, gives neutral smoothing.
-    Rows must hold at least ``MIN_SIZE`` values.  Returns (h, c, the
-    ``_shape_rows`` statistics, failures).
+    for all rows).  Rows must hold at least ``MIN_SIZE`` values.  Returns
+    (h, c, the ``_shape_rows`` statistics, failures).
     """
     fam = get_family(null_family)
     n = working.shape[1]
@@ -174,7 +172,7 @@ def _bandwidth_rows(null_family: FamilyId, kappa0, working: np.ndarray):
         neutral = False
     else:
         neutral = _near_gaussian(skew, kurt)
-    c = _multiplier(neutral | np.isnan(kappa0), kappa0, kurt)
+    c = _multiplier(neutral, kappa0, kurt)
     h = small_sample_inflation(n) * c * shape[0] * n ** (-0.2)
     return h, c, shape, failures
 
@@ -189,7 +187,8 @@ def select_bandwidth(
     The identical rule is applied to bootstrap samples (with the bootstrap
     refit supplying κ0), so the smoothing regime is anchored to the null in
     both the observed and resampled worlds.  The one-row call of
-    ``_bandwidth_rows``.
+    ``_bandwidth_rows``.  A family without a null-implied kurtosis (not a
+    testable null) raises InvalidParameterError.
     """
     fam = get_family(null_family)
     data = np.asarray(data, dtype=float).reshape(1, -1)
@@ -197,15 +196,7 @@ def select_bandwidth(
         raise DataError(f"bandwidth selection needs at least {MIN_SIZE} observations")
     working, scale, failures = _working_rows(fam.family_id, data)
     raise_row_failure(failures)
-    try:
-        kappa0 = null_kurtosis(fitted)
-    except InvalidParameterError:
-        # no null-implied kurtosis: fall back to neutral smoothing
-        warnings.warn(
-            f"no null-implied kurtosis for {fam.family_id.value}; using c = 1",
-            RuntimeWarning, stacklevel=2,
-        )
-        kappa0 = float("nan")
+    kappa0 = null_kurtosis(fitted)
     h, c, shape, failures = _bandwidth_rows(fam.family_id, kappa0, working)
     raise_row_failure(failures)
     sigma, skew, kurt = (float(v[0]) for v in shape)

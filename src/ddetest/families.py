@@ -53,7 +53,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy import optimize as _opt
 
 from .errors import (
     DataError, DegenerateDataError, FitError, InvalidParameterError, RowFailures, SupportError,
@@ -502,25 +501,23 @@ def _log_mean_exp(z):
 
 
 def _gamma_profile(dev, ln_p):
-    """Gamma MLE of y = x^p at each ln p, given dev = ln x - mean(ln x).
+    """Gamma MLE of y = x^p at each ln p of a (rows, k) array, given the
+    (rows, n) deviations dev = ln x - mean(ln x).
 
-    Returns (loglik, k, lme): the generalized-gamma mean log-likelihood
-    maximized over (a, d) at each p, less mean(ln x); the shape k of y; and
-    lme = ln mean(e^{p dev}).  With s = lme - p mean(dev), the log-moment gap
-    of y, loglik = ln p - k s + k ln k - k - ln Gamma(k).  Rows of p dev are
-    built a block at a time, so memory stays O(n).
-    """
+    Returns (rows, k) arrays (loglik, k, lme): the generalized-gamma mean
+    log-likelihood maximized over (a, d), less mean(ln x), NaN where the shape
+    iteration does not converge; the shape k of y; and lme = ln mean(e^{p dev}).
+    With s = lme - p mean(dev), loglik = ln p - k s + k ln k - k - ln Gamma(k).
+    p dev is built 2^16 elements (or one row) at a time, so memory stays O(n)."""
     p = np.exp(ln_p)
-    lme = np.empty(p.size)
-    rows = max(1, (1 << 16) // dev.size)
-    for i in range(0, p.size, rows):
-        lme[i:i + rows] = _log_mean_exp(np.multiply.outer(p[i:i + rows], dev))
-    s = lme - p * float(np.mean(dev))
+    lme, owner = np.empty(p.shape), np.repeat(np.arange(dev.shape[0]), p.shape[1])
+    step = max(1, (1 << 16) // dev.shape[1])
+    for i in range(0, p.size, step):
+        lme.flat[i:i + step] = _log_mean_exp(p.flat[i:i + step][:, None] * dev[owner[i:i + step]])
+    s = lme - p * _mean(dev)[:, None]
     ok = s > 0.0
-    k = np.full(p.size, np.nan)
+    k = np.full(p.shape, np.nan)
     k[ok] = _gamma_shape(s[ok])
-    if np.isnan(k[ok]).any():
-        raise FitError("gamma shape iteration did not converge")
     return np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme
 
 
@@ -558,47 +555,50 @@ def _fit_lognormal(rows):
 
 
 _GG_LN_P = np.linspace(math.log(0.05), math.log(200.0), 60)
-
-
-def _fit_gengamma_row(data):
-    """Profile likelihood in p: for fixed p, x^p ~ Gamma(d/p, a^p), so (a, d)
-    follow from the gamma MLE of x^p (Prentice 1974; Noufaily & Jones 2013).
-
-    Every fit scans the whole fixed ln p grid over [0.05, 200] and refines the
-    best grid point by bounded Brent on its two neighbouring cells, so no
-    local maximum away from the global one can trap it; a maximum on the
-    grid's edge raises FitError.
-    """
-    lx = np.log(data)
-    m = float(np.mean(lx))
-    dev = lx - m
-    loglik = _gamma_profile(dev, _GG_LN_P)[0]
-    i = int(np.argmax(loglik))
-    if not math.isfinite(loglik[i]):
-        raise FitError("generalized gamma profile likelihood is nowhere finite")
-    if i in (0, _GG_LN_P.size - 1):
-        raise FitError(f"generalized gamma fit ran to the bound p = {math.exp(_GG_LN_P[i]):g}")
-    res = _opt.minimize_scalar(
-        lambda t: -_gamma_profile(dev, np.array([t]))[0][0],
-        bounds=(_GG_LN_P[i - 1], _GG_LN_P[i + 1]), method="bounded",
-        options={"xatol": 1e-9},
-    )
-    ln_p = float(res.x) if -res.fun >= loglik[i] else float(_GG_LN_P[i])
-    _, k, lme = _gamma_profile(dev, np.array([ln_p]))
-    p, k = math.exp(ln_p), float(k[0])
-    return (math.exp(m + (float(lme[0]) - math.log(k)) / p), p * k, p)
+_GG_STEPS = 42  # golden-section steps: 2 grid cells (0.281 in ln p) shrink below 1e-9
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _fit_gengamma(rows):
-    # one profile per row: the fit dominates a replicate's time anyway
-    theta = np.full((3, rows.shape[0]), np.nan)
-    failures = {}
-    for i, x in enumerate(rows):
-        try:
-            theta[:, i] = _fit_gengamma_row(x)
-        except FitError as exc:
-            failures[i] = exc
-    return tuple(theta), failures
+    """Profile likelihood in p: for fixed p, x^p ~ Gamma(d/p, a^p), so (a, d)
+    follow from the gamma MLE of x^p (Prentice 1974; Noufaily & Jones 2013).
+
+    Every row scans the whole fixed ln p grid over [0.05, 200], so no local
+    maximum away from the global one traps it; a maximum on the grid's edge is
+    a FitError.  The rows then refine together by golden section on the two
+    cells around their best grid point, keeping the highest point evaluated."""
+    lx = np.log(rows)
+    m = _mean(lx)
+    dev = lx - m[:, None]
+    grid = np.broadcast_to(_GG_LN_P, (rows.shape[0], _GG_LN_P.size))
+    ll, k, lme = _gamma_profile(dev, grid)
+    best = np.argmax(ll, axis=1)
+    # a row whose scan failed refines on an arbitrary bracket, to garbage
+    lo, hi = (_GG_LN_P[np.clip(best + d, 0, _GG_LN_P.size - 1)] for d in (-1, 1))
+    points = []
+    for _ in range(_GG_STEPS):
+        w = _INV_PHI * (hi - lo)
+        t = np.stack([hi - w, lo + w], axis=1)
+        step = _gamma_profile(dev, t)
+        left = step[0][:, 0] >= step[0][:, 1]
+        lo, hi = np.where(left, lo, t[:, 0]), np.where(left, t[:, 1], hi)
+        points.append((t, *step))
+    at = np.arange(rows.shape[0]), best
+    points.append(tuple(v[at][:, None] for v in (grid, ll, k, lme)))  # last: ties go to refined
+    ln_p, ll_all, k, lme = (np.concatenate(col, axis=1) for col in zip(*points))
+    at = np.arange(rows.shape[0]), np.argmax(ll_all, axis=1)
+    p, k = np.exp(ln_p[at]), k[at]
+    grid_stuck, stuck = (row_failures(np.isnan(v).any(axis=1), lambda i: FitError(
+        "gamma shape iteration did not converge")) for v in (ll, ll_all))
+    failures = first_failures(
+        grid_stuck,
+        row_failures(~np.isfinite(ll.max(axis=1)), lambda i: FitError(
+            "generalized gamma profile likelihood is nowhere finite")),
+        row_failures((best == 0) | (best == _GG_LN_P.size - 1), lambda i: FitError(
+            f"generalized gamma fit ran to the bound p = {math.exp(_GG_LN_P[best[i]]):g}")),
+        stuck,
+    )
+    return (np.exp(m + (lme[at] - np.log(k)) / p), p * k, p), failures
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from ddetest import (
-    FamilyId, FittedModel, classify_regime, fit_mle, sample, select_bandwidth,
-    shape_multiplier, small_sample_inflation, substream,
+    FamilyId, FittedModel, InvalidParameterError, classify_regime, fit_mle, run_test, sample,
+    select_bandwidth, shape_multiplier, small_sample_inflation, substream,
 )
 from ddetest.bandwidth import Regime, truncate_kurtosis
 from ddetest.errors import DataError, DegenerateDataError
@@ -157,18 +157,20 @@ def test_degenerate_data_rejected():
         select_bandwidth(FamilyId.NORMAL, fitted, np.ones(50))
 
 
-def test_missing_null_kurtosis_falls_back_to_neutral_c():
-    # weibull has no null-implied kurtosis (not a testable null): c = 1 + warning
+def test_missing_null_kurtosis_is_a_usage_error():
+    # weibull has no null-implied kurtosis (not a testable null): the rule
+    # refuses it, and a simple-hypothesis test reports that at stage bandwidth
     fitted = FittedModel(FamilyId.WEIBULL, (1.7915, 3.3727))
     data = sample(fitted, 120, substream("bw-fallback"))
-    with pytest.warns(RuntimeWarning, match="using c = 1"):
-        bw = select_bandwidth(FamilyId.WEIBULL, fitted, data)
-    assert bw.c == 1.0
-    assert bw.h == pytest.approx(bw.k_n * np.log(data).std() * 120 ** -0.2)
+    with pytest.raises(InvalidParameterError, match="no null-implied kurtosis"):
+        select_bandwidth(FamilyId.WEIBULL, fitted, data)
+    with pytest.raises(InvalidParameterError) as exc:
+        run_test(FamilyId.WEIBULL, data, n_boot=10, seed=1, theta0=fitted.theta)
+    assert exc.value.stage == "bandwidth" and exc.value.exit_code == 2
 
 
 def test_unrelated_kurtosis_error_propagates(monkeypatch):
-    # only a missing null kurtosis (InvalidParameterError) falls back to c = 1
+    # an error from the kurtosis hook reaches the caller unchanged
     import ddetest.bandwidth as bw_mod
 
     def broken(model):

@@ -23,9 +23,11 @@ def test_usage_error_exit_code_2():
 
 
 def test_unknown_family_exit_code_2():
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["test", "--family", "zeta", "--data", FIXTURE])
-    assert exc.value.code == 2
+    # cauchy is a family, but only a testable null is accepted
+    for family in ("zeta", "cauchy"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["test", "--family", family, "--data", FIXTURE])
+        assert exc.value.code == 2
 
 
 def test_data_error_exit_code_3(capsys):
@@ -188,3 +190,18 @@ def test_python_dash_m_package_runs_the_cli():
                            "--data", FIXTURE],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # the package needs scipy.special only; scipy.optimize would add a large
+    # share of every CLI start
+    import ddetest
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddetest.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ddetest.cli; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -329,7 +329,7 @@ def test_fit_is_local_maximum(family, theta):
                 cand = FittedModel(family, tuple(perturbed))
             except InvalidParameterError:
                 continue
-            # small slack: the GG fit's Brent step stops at a 1e-9 tolerance in ln p
+            # small slack: the GG fit's golden section stops within 1e-9 in ln p
             assert mean_log_likelihood(cand, data) <= base + 1e-7
 
 
