@@ -2,7 +2,9 @@
 
 Criteria 5 and 6 run at desk scale by default (reps=300/n_boot=300 and
 reps=200/n_boot=300); set DDETEST_FULL_SCALE=1 to run the full
-1000 x 1000 study design over n in {50, 100, 250, 500}.
+1000 x 1000 study design over n in {50, 100, 250, 500}.  Both run at the
+default thread count (``resolve_threads``): reports are the same at any
+thread count, which criterion 9 checks.
 """
 import math
 import os
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 import ddetest as d
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
-from ddetest.dde import BootstrapDistribution
+from ddetest.dde import BootstrapDistribution, resolve_threads
 from ddetest.entropy import _de_ml_quadrature
 from ddetest.families import FamilyId, FittedModel, Support
 from ddetest.montecarlo import NULL_MEMBERS
@@ -203,7 +205,7 @@ def test_criterion_5_empirical_size():
             reps=reps, n_boot=n_boot, alpha=0.05, master_seed=20250805,
         )
         t0 = time.time()
-        report = d.run_experiment(spec)
+        report = d.run_experiment(spec, threads=resolve_threads(None))
         for cell in report.cells:
             inside = lo <= cell.rate <= hi
             ok = ok and inside
@@ -235,7 +237,7 @@ def test_criterion_6_power_monotonicity_and_magnitude():
             reps=reps, n_boot=n_boot, alpha=0.05, master_seed=20250806,
         )
         t0 = time.time()
-        cells = d.run_experiment(spec).cells
+        cells = d.run_experiment(spec, threads=resolve_threads(None)).cells
         rates = [c.rate for c in cells]
         ses = [c.mc_se for c in cells]
         for i in range(len(rates) - 1):

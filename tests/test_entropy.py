@@ -11,8 +11,11 @@ from ddetest import (
 )
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
-from ddetest.entropy import DEFAULT_TOL, _de_ml_quadrature, _kde_entropy_rows
-from ddetest.errors import InvalidParameterError
+from ddetest.entropy import (
+    _GL_NODES, _GL_WEIGHTS, _PANEL_BANDWIDTHS, _SQRT_2PI, DEFAULT_TOL, _de_ml_quadrature,
+    _kde_entropy_rows,
+)
+from ddetest.errors import InvalidParameterError, QuadratureError
 from ddetest.families import Support, get_family
 from ddetest.quadrature import IntegrationRange, Scale, entropy_range, integrate, range_bounds
 from ddetest.special import digamma
@@ -210,6 +213,105 @@ def test_kde_rows_bit_identical_across_kernel_blocks(monkeypatch):
     for cap in (8 * 100, 8 * 100 * 7, 8 * 100 * 64):
         monkeypatch.setattr(entropy_mod, "KDE_BLOCK_BYTES", cap)
         assert _kde_entropy_rows(work, h, lower, upper).tobytes() == full.tobytes()
+
+
+def test_kde_rows_bit_identical_across_kernel_blocks_mixed_windows(monkeypatch):
+    # at n = 3000 one call's panels have about 30 window lengths (most of the
+    # Cauchy row's are empty), which each cap groups into blocks differently
+    import ddetest.entropy as entropy_mod
+
+    work, h, lower, upper = _kde_rows_case(3000, 1)
+    full = _kde_entropy_rows(work, h, lower, upper)
+    for cap in (8 * 100, 8 * 100 * 7, 8 * 100 * 64):
+        monkeypatch.setattr(entropy_mod, "KDE_BLOCK_BYTES", cap)
+        assert _kde_entropy_rows(work, h, lower, upper).tobytes() == full.tobytes()
+
+
+def _dense_kde_entropy_rows(work, h, lower, upper):
+    """The fixed rule with every kernel summed at every node: the same nodes
+    and weights as ``_kde_entropy_rows``, no window."""
+    rows, n = work.shape
+    width = upper - lower
+    panels = np.ceil(width / (_PANEL_BANDWIDTHS * h)).astype(np.intp)
+    half = width / (2.0 * panels)
+    panel_row = np.repeat(np.arange(rows), panels)
+    panel_half = half[panel_row]
+    first = np.cumsum(panels) - panels
+    centre = lower[panel_row] + (2.0 * (np.arange(panel_row.size) - first[panel_row]) + 1.0) \
+        * panel_half
+    node_row = np.repeat(panel_row, _GL_NODES.size)
+    nodes = (centre[:, None] + panel_half[:, None] * _GL_NODES).ravel() / h[node_row]
+    scaled = work / h[:, None]
+    density = np.empty(nodes.size)
+    for i in range(nodes.size):
+        z = scaled[node_row[i]] - nodes[i]
+        density[i] = np.exp(-0.5 * z * z).sum()
+    density *= (1.0 / (n * _SQRT_2PI * h))[node_row]
+    integrand = -xlogy(density, density).reshape(-1, _GL_NODES.size)
+    panel_value = (integrand * _GL_WEIGHTS).sum(axis=1) * panel_half
+    return np.bincount(panel_row, weights=panel_value, minlength=rows)
+
+
+def _kde_window_bound(h, lower, upper):
+    """``_kde_entropy_rows``' stated distance from the full kernel sum:
+    (W/h) (η (ln(1/η) + |ln h|) + ε), η = e^(-C²/2)/√(2π), C = 9."""
+    eta = math.exp(-0.5 * 9.0**2) / math.sqrt(2.0 * math.pi)
+    return (upper - lower) / h * (eta * (-math.log(eta) + np.abs(np.log(h)))
+                                  + np.finfo(float).eps)
+
+
+def _window_case_ln20000():
+    x = substream("kde-window", "n20000").lognormal(1.0, 0.5, 20_000)
+    bw = select_bandwidth(FamilyId.GAMMA, fit_mle(FamilyId.GAMMA, x), x)
+    work, h = np.log(x)[None, :], np.array([bw.h])
+    return (work, h) + range_bounds(work, h)
+
+
+def _window_case_outliers():
+    # samples 3h and 30h beyond each end of the range fall in the edge bins
+    rng = substream("kde-window", "outliers")
+    work, h = rng.normal(0.0, 1.0, (2, 500)), np.array([0.25, 0.6])
+    lower, upper = range_bounds(work, h)
+    work[:, :4] = np.column_stack([lower - 3 * h, lower - 30 * h, upper + 3 * h, upper + 30 * h])
+    return work, h, lower, upper
+
+
+def _window_case_cauchy():
+    # ranges of hundreds of bandwidths whose tail panels have empty windows
+    work = substream("kde-window", "cauchy").standard_cauchy((3, 2000))
+    h = np.array([0.2, 0.5, 1.0])
+    return (work, h) + range_bounds(work, h)
+
+
+def _window_case_ties():
+    # heavy ties: 2000 draws on 7 values
+    work = substream("kde-window", "ties").integers(0, 7, (2, 2000)).astype(float)
+    h = np.array([0.05, 0.3])
+    return (work, h) + range_bounds(work, h)
+
+
+def _window_case_n5():
+    # every window is capped at n
+    return _kde_rows_case(5, 2)
+
+
+@pytest.mark.parametrize("case", [
+    _window_case_ln20000, _window_case_outliers, _window_case_cauchy, _window_case_ties,
+    _window_case_n5,
+])
+def test_kde_rows_match_dense_oracle(case):
+    work, h, lower, upper = case()
+    windowed = _kde_entropy_rows(work, h, lower, upper)
+    dense = _dense_kde_entropy_rows(work, h, lower, upper)
+    assert np.all(np.abs(windowed - dense) <= _kde_window_bound(h, lower, upper))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kde_rows_nonfinite_sample_is_quadrature_error(bad):
+    work, h, lower, upper = _kde_rows_case(100, 3)
+    work[2, 40] = bad
+    with pytest.raises(QuadratureError):
+        _kde_entropy_rows(work, h, lower, upper)
 
 
 def _de_kde_oracle(data, bw, support):
