@@ -492,33 +492,68 @@ def _gamma_shape(s):
     return k
 
 
+def _exp_shift(z):
+    """Per-row shift that keeps e^(z - shift) finite far out: the row's
+    largest value where it exceeds 500, else 0."""
+    top = z.max(axis=1)
+    return np.where(top > 500.0, top, 0.0)
+
+
 def _log_mean_exp(z):
-    """ln mean(e^z) along each row of z; expm1 keeps a small value exact and
-    the shift keeps e^z finite far out."""
-    top = z.max(axis=1, keepdims=True)
-    shift = np.where(top > 500.0, top, 0.0)
-    return shift[:, 0] + np.log1p(_mean(np.expm1(z - shift)))
+    """ln mean(e^z) along each row of z; expm1 keeps a small value exact."""
+    shift = _exp_shift(z)
+    return shift + np.log1p(_mean(np.expm1(z - shift[:, None])))
 
 
 def _gamma_profile(dev, ln_p):
     """Gamma MLE of y = x^p at each ln p of a (rows, k) array, given the
     (rows, n) deviations dev = ln x - mean(ln x).
 
-    Returns (rows, k) arrays (loglik, k, lme): the generalized-gamma mean
+    Returns (rows, k) arrays (loglik, k, lme, g, v): the generalized-gamma mean
     log-likelihood maximized over (a, d), less mean(ln x), NaN where the shape
-    iteration does not converge; the shape k of y; and lme = ln mean(e^{p dev}).
-    With s = lme - p mean(dev), loglik = ln p - k s + k ln k - k - ln Gamma(k).
-    p dev is built 2^16 elements (or one row) at a time, so memory stays O(n)."""
+    iteration does not converge; the shape k of y; lme = ln mean(e^{p dev});
+    and, under weights w ~ e^{p dev}, g = p (E_w[dev] - mean(dev)) and
+    v = p^2 Var_w(dev).  With s = lme - p mean(dev), loglik = ln p - k s +
+    k ln k - k - ln Gamma(k), and g and g + v are the first two derivatives
+    of s in ln p (see ``_profile_slopes``).  p dev is built 2^16 elements (or
+    one row) at a time, and its weighted moments come from the same block, so
+    memory stays O(n)."""
     p = np.exp(ln_p)
-    lme, owner = np.empty(p.shape), np.repeat(np.arange(dev.shape[0]), p.shape[1])
+    mean_dev = _mean(dev)
+    lme, m1, var = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
+    owner = np.repeat(np.arange(dev.shape[0]), p.shape[1])
     step = max(1, (1 << 16) // dev.shape[1])
     for i in range(0, p.size, step):
-        lme.flat[i:i + step] = _log_mean_exp(p.flat[i:i + step][:, None] * dev[owner[i:i + step]])
-    s = lme - p * _mean(dev)[:, None]
+        at = slice(i, i + step)
+        d, mean_d = dev[owner[at]], mean_dev[owner[at]]
+        e = p.flat[at][:, None] * d
+        shift = _exp_shift(e)
+        e -= shift[:, None]
+        np.expm1(e, out=e)
+        m0 = _mean(e)
+        lme.flat[at] = shift + np.log1p(m0)
+        # with w = 1 + e, E_w[dev] - mean(dev) follows from sum(dev w) =
+        # sum(dev) + sum(dev e), sum(dev) = n mean(dev): nothing cancels at small p
+        m1.flat[at] = mu = (_mean(d * e) - mean_d * m0) / (1.0 + m0)
+        d -= (mean_d + mu)[:, None]
+        d *= d
+        e += 1.0
+        d *= e
+        var.flat[at] = _mean(d) / (1.0 + m0)
+    s = lme - p * mean_dev[:, None]
     ok = s > 0.0
     k = np.full(p.shape, np.nan)
     k[ok] = _gamma_shape(s[ok])
-    return np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme
+    return (np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme,
+            p * m1, p * p * var)
+
+
+def _profile_slopes(k, g, v):
+    """First and second derivatives in u = ln p of ``_gamma_profile``'s
+    loglik, from its k, g and v.  loglik is stationary in k at the solved
+    shape, so the score is 1 - k g; the curvature is -(dk/du) g - k (g + v),
+    with dk/du = k g / (d gap/d ln k) from ln k - psi(k) = s."""
+    return 1.0 - k * g, -k * g * g / _shape_gap(k)[1] - k * (g + v)
 
 
 def _fit_gamma(rows):
@@ -555,8 +590,8 @@ def _fit_lognormal(rows):
 
 
 _GG_LN_P = np.linspace(math.log(0.05), math.log(200.0), 60)
-_GG_STEPS = 42  # golden-section steps: 2 grid cells (0.281 in ln p) shrink below 1e-9
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GG_TOL = 1e-10  # a row whose ln p step is at most this takes it and stops
+_GG_MAX_STEPS = 40  # bisection alone shrinks 2 grid cells (0.281) below 1e-10 in 32
 
 
 def _fit_gengamma(rows):
@@ -565,40 +600,57 @@ def _fit_gengamma(rows):
 
     Every row scans the whole fixed ln p grid over [0.05, 200], so no local
     maximum away from the global one traps it; a maximum on the grid's edge is
-    a FitError.  The rows then refine together by golden section on the two
-    cells around their best grid point, keeping the highest point evaluated."""
+    a FitError.  The rows then refine together by Newton's method in ln p on
+    the profile's analytic score, from their best grid point, inside the two
+    cells around it.  Each evaluated point shrinks a row's bracket by the sign
+    of its score; a Newton step that leaves the closed bracket, or one taken
+    where the profile is not concave, is replaced by the bracket's midpoint.
+    A row whose step is at most 1e-10 in ln p takes it and stops, so its fit
+    does not depend on the other rows.  Each row keeps its last point, or its
+    grid point if that is strictly higher: near the root the profile is flat
+    to rounding, so the highest of the Newton points is as often an earlier,
+    less converged one."""
     lx = np.log(rows)
     m = _mean(lx)
     dev = lx - m[:, None]
     grid = np.broadcast_to(_GG_LN_P, (rows.shape[0], _GG_LN_P.size))
-    ll, k, lme = _gamma_profile(dev, grid)
+    ll, k, lme, g, v = _gamma_profile(dev, grid)
     best = np.argmax(ll, axis=1)
-    # a row whose scan failed refines on an arbitrary bracket, to garbage
-    lo, hi = (_GG_LN_P[np.clip(best + d, 0, _GG_LN_P.size - 1)] for d in (-1, 1))
-    points = []
-    for _ in range(_GG_STEPS):
-        w = _INV_PHI * (hi - lo)
-        t = np.stack([hi - w, lo + w], axis=1)
-        step = _gamma_profile(dev, t)
-        left = step[0][:, 0] >= step[0][:, 1]
-        lo, hi = np.where(left, lo, t[:, 0]), np.where(left, t[:, 1], hi)
-        points.append((t, *step))
     at = np.arange(rows.shape[0]), best
-    points.append(tuple(v[at][:, None] for v in (grid, ll, k, lme)))  # last: ties go to refined
-    ln_p, ll_all, k, lme = (np.concatenate(col, axis=1) for col in zip(*points))
-    at = np.arange(rows.shape[0]), np.argmax(ll_all, axis=1)
-    p, k = np.exp(ln_p[at]), k[at]
-    grid_stuck, stuck = (row_failures(np.isnan(v).any(axis=1), lambda i: FitError(
-        "gamma shape iteration did not converge")) for v in (ll, ll_all))
+    stuck = np.isnan(ll).any(axis=1)
+    nowhere = ~np.isfinite(ll.max(axis=1))
+    edge = (best == 0) | (best == _GG_LN_P.size - 1)
+    ll_hat, ln_p, k_hat, lme_hat = (col[at] for col in (ll, grid, k, lme))
+    live = np.flatnonzero(~(stuck | nowhere | edge))  # rows that failed stay on the grid
+    lo, hi = _GG_LN_P[best[live] - 1], _GG_LN_P[best[live] + 1]
+    u = ln_p[live]
+    s, c = _profile_slopes(k_hat[live], g[at][live], v[at][live])
+    for _ in range(_GG_MAX_STEPS):
+        lo, hi = np.where(s > 0.0, u, lo), np.where(s < 0.0, u, hi)
+        newton = u - s / c
+        u_new = np.where((c < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.abs(u_new - u) <= _GG_TOL
+        u = u_new
+        ll_u, k_u, lme_u, g_u, v_u = (col[:, 0] for col in _gamma_profile(dev[live], u[:, None]))
+        s, c = _profile_slopes(k_u, g_u, v_u)
+        stuck[live] |= np.isnan(ll_u)
+        ll_hat[live], ln_p[live], k_hat[live], lme_hat[live] = ll_u, u, k_u, lme_u
+        live, lo, hi, u, s, c = (col[~done] for col in (live, lo, hi, u, s, c))
+        if live.size == 0:
+            break
+    on_grid = ll[at] > ll_hat  # a refined row keeps its grid point only if strictly higher
+    ln_p[on_grid], k_hat[on_grid], lme_hat[on_grid] = (col[at][on_grid] for col in (grid, k, lme))
+    p = np.exp(ln_p)
+    # only rows that pass every grid check are refined, so one list of shape
+    # failures keeps the order of the checks
     failures = first_failures(
-        grid_stuck,
-        row_failures(~np.isfinite(ll.max(axis=1)), lambda i: FitError(
+        row_failures(stuck, lambda i: FitError("gamma shape iteration did not converge")),
+        row_failures(nowhere, lambda i: FitError(
             "generalized gamma profile likelihood is nowhere finite")),
-        row_failures((best == 0) | (best == _GG_LN_P.size - 1), lambda i: FitError(
+        row_failures(edge, lambda i: FitError(
             f"generalized gamma fit ran to the bound p = {math.exp(_GG_LN_P[best[i]]):g}")),
-        stuck,
     )
-    return (np.exp(m + (lme[at] - np.log(k)) / p), p * k, p), failures
+    return (np.exp(m + (lme_hat - np.log(k_hat)) / p), p * k_hat, p), failures
 
 
 # --------------------------------------------------------------------------

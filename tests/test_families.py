@@ -18,6 +18,7 @@ from ddetest.errors import (
 )
 from ddetest.families import Support, get_family
 from ddetest.montecarlo import NULL_MEMBERS, SIMULATED_NULLS, table4_alternatives
+from ddetest.streams import _PrefixStreams
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -329,13 +330,88 @@ def test_fit_is_local_maximum(family, theta):
                 cand = FittedModel(family, tuple(perturbed))
             except InvalidParameterError:
                 continue
-            # small slack: the GG fit's golden section stops within 1e-9 in ln p
+            # small slack: the GG fit's Newton steps in ln p stop at 1e-10, and
+            # its (a, d) follow from p through a profile evaluated in rounding
             assert mean_log_likelihood(cand, data) <= base + 1e-7
 
 
 def test_gengamma_fit_faithful_reaches_profile_maximum():
     x = load_dataset("faithful-hardle").values
     assert fit_mle(FamilyId.GENGAMMA, x).theta[2] == pytest.approx(17.9573, rel=1e-4)
+
+
+def _log_deviations(rows):
+    lx = np.log(np.atleast_2d(rows))
+    return lx - families._mean(lx)[:, None]
+
+
+def _profile(dev, ln_p):
+    """The GG profile's log-likelihood, score and curvature in ln p."""
+    ll, k, _, g, v = families._gamma_profile(dev, ln_p)
+    return (ll, *families._profile_slopes(k, g, v))
+
+
+@pytest.mark.parametrize("x, shifted", [
+    pytest.param(load_dataset("faithful-hardle").values, False, id="faithful"),
+    pytest.param(substream("gg-slopes", "wide").lognormal(0.0, 2.0, 200), True, id="wide"),
+    pytest.param(substream("gg-slopes", "narrow").lognormal(0.0, 0.05, 200), False, id="narrow"),
+    pytest.param(substream("gg-slopes", "gg").gamma(4.0 / 3.0, 1.0, 100) ** (2.0 / 3.0), False,
+                 id="gg"),
+])
+def test_gengamma_profile_slopes_match_differences(x, shifted):
+    # oracle: central differences of the profile's own log-likelihood (for
+    # the score) and score (for the curvature) in ln p, at steps 1e-3 and
+    # 2e-3, Richardson-extrapolated, at every grid point; the wide sample
+    # takes p dev past the shift at 500, and every sample reaches the shape's
+    # series branch at k >= 20
+    dev = _log_deviations(x)
+    u = families._GG_LN_P[None, :]
+    k = families._gamma_profile(dev, u)[1]
+    assert ((np.exp(u) * dev.max()).max() > 500.0) == shifted
+    assert (k >= families._SERIES_FROM).any()
+    _, score, curv = _profile(dev, u)
+
+    def diff(j, h):
+        d = lambda h: (_profile(dev, u + h)[j] - _profile(dev, u - h)[j]) / (2.0 * h)
+        return (4.0 * d(h / 2.0) - d(h)) / 3.0
+
+    assert score == pytest.approx(diff(0, 2e-3), rel=1e-6)
+    # the curvature crosses 0 on the wide sample's grid
+    assert curv == pytest.approx(diff(1, 2e-3), rel=1e-6, abs=1e-10)
+
+
+def test_gengamma_fit_lands_on_the_profile_score_root():
+    # bootstrap rows of the faithful fit at three sizes: each fitted row's p
+    # is a root of its profile score, not a nearby point the refinement left
+    # behind or the grid point it started from; 1e-13 allows for the
+    # profile's own rounding
+    fitted = fit_mle(FamilyId.GENGAMMA, load_dataset("faithful-hardle").values)
+    streams = _PrefixStreams(123, "boot")
+    fitted_rows = 0
+    for n in (30, 100, 272):
+        rows = np.array([sample(fitted, n, streams(r, 0)) for r in range(60)])
+        theta, failures = families._fit_rows(FamilyId.GENGAMMA, rows)
+        ok = np.array([i not in failures for i in range(len(rows))])
+        u = np.log(theta[2][ok])[:, None] + np.log1p([[0.0, -1e-6, 1e-6]])
+        ll, score, _ = _profile(_log_deviations(rows[ok]), u)
+        assert np.abs(score[:, 0]).max() <= 1e-9
+        assert (ll[:, :1] >= ll[:, 1:] - 1e-13).all()
+        fitted_rows += int(ok.sum())
+    assert fitted_rows >= 120
+
+
+def test_gengamma_lone_fit_takes_few_profile_calls(monkeypatch):
+    # the grid scan, then a few Newton steps rather than a crawl along the bracket
+    calls = []
+
+    def counted(dev, ln_p):
+        calls.append(ln_p.shape)
+        return real(dev, ln_p)
+
+    real = families._gamma_profile
+    monkeypatch.setattr(families, "_gamma_profile", counted)
+    fit_mle(FamilyId.GENGAMMA, load_dataset("faithful-hardle").values)
+    assert calls[0] == (1, families._GG_LN_P.size) and len(calls) <= 10
 
 
 @pytest.mark.parametrize("theta", [
