@@ -26,7 +26,7 @@ from .montecarlo import (
     ExperimentSpec, NULL_MEMBERS, SimCell, SimReport, dgp_moments, run_experiment,
     table4_alternatives, table4_campaign,
 )
-from .quadrature import IntegrationRange, Scale, entropy_range, integrate
+from .quadrature import IntegrationRange, Scale, entropy_range
 from .streams import stable_seed, substream
 
 __version__ = "0.1.0"
@@ -39,7 +39,7 @@ __all__ = [
     "ShapeStats", "SimCell", "SimReport", "Support", "SupportError",
     "TESTABLE_NULLS", "UsageError", "bootstrap_null", "classify_regime",
     "closed_form_entropy", "critical_interval", "dde_statistic", "de_kde", "de_ml",
-    "dgp_moments", "entropy_range", "fit_mle", "get_family", "integrate", "kde_pdf",
+    "dgp_moments", "entropy_range", "fit_mle", "get_family", "kde_pdf",
     "kde_smoothing_bias", "load_dataset", "log_pdf", "mean_log_likelihood",
     "ml_entropy_bias", "null_kurtosis", "p_value", "run_test", "run_experiment",
     "sample", "select_bandwidth", "shape_multiplier", "small_sample_inflation",

@@ -3,9 +3,7 @@
 Two estimators of -∫ f ln f dx (nats):
 
 * ``de_ml`` — the parametric plug-in at the fitted parameters: the
-  family's closed form.  ``_de_ml_quadrature`` integrates the model's own
-  density instead; it is the oracle the tests cross-check the closed forms
-  against.
+  family's closed form.
 * ``de_kde`` — the Gaussian-kernel plug-in.  Real-supported data are
   smoothed on the raw scale; positive-supported data are smoothed in
   ln-space and the raw-scale entropy recovered as DE(g) + mean(ln x),
@@ -43,40 +41,17 @@ from scipy.special import xlogy
 
 from .bandwidth import BandwidthSpec
 from .errors import InvalidParameterError, QuadratureError, SupportError
-from .families import FamilyId, FittedModel, Support, closed_form_entropy, get_family, log_pdf
-from .quadrature import (
-    RANGE_BANDWIDTH_MULTIPLE, IntegrationRange, Scale, entropy_range, integrate, range_bounds,
-)
+from .families import FamilyId, FittedModel, Support, closed_form_entropy, get_family
+from .quadrature import RANGE_BANDWIDTH_MULTIPLE, Scale, entropy_range, range_bounds
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ∫ K^2 for the standard normal kernel = 1/(2 sqrt(pi))
 _KERNEL_L2 = 1.0 / (2.0 * math.sqrt(math.pi))
 
-DEFAULT_TOL = 1e-8
-
 
 # --------------------------------------------------------------------------
 # parametric plug-in
 # --------------------------------------------------------------------------
-
-def _de_ml_quadrature(fitted: FittedModel, tol: float) -> float:
-    """-∫ f ln f via quadrature on the model's working scale."""
-    fam = get_family(fitted.family)
-    if fam.working_moments is None:
-        raise InvalidParameterError(f"no quadrature entropy path for {fam.family_id.value}")
-    mean, sd = fam.working_moments(fitted.theta)
-    rng = IntegrationRange(mean - 45.0 * sd, mean + 45.0 * sd)
-    if fitted.support is Support.POSITIVE:
-        def integrand(y):
-            # -f(x) ln f(x) dx with x = e^y
-            lp = log_pdf(fitted, np.exp(y))
-            return -np.exp(lp + y) * np.where(np.isfinite(lp), lp, 0.0)
-    else:
-        def integrand(y):
-            lp = log_pdf(fitted, y)
-            return -np.exp(lp) * np.where(np.isfinite(lp), lp, 0.0)
-    return integrate(integrand, rng, tol)
-
 
 def de_ml(fitted: FittedModel) -> float:
     """Plug-in entropy at the fitted parameters, from the family's closed form.
@@ -106,8 +81,8 @@ def kde_pdf(data, h: float, x):
 
 
 # The KDE entropy rule: 10-point Gauss–Legendre nodes and weights on
-# [-1, 1], on panels at most _PANEL_BANDWIDTHS bandwidths wide.  Against the
-# adaptive integrator at tol 1e-12 its error stayed below 1e-9 on the
+# [-1, 1], on panels at most _PANEL_BANDWIDTHS bandwidths wide.  Against an
+# adaptive integral at tol 1e-12 its error stayed below 1e-9 on the
 # testable nulls at n = 50..500; 8 nodes per 2h reached 1.4e-8 and 10 nodes
 # per 4h 1.4e-6.
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
@@ -123,8 +98,7 @@ KDE_BLOCK_BYTES = 1 << 20
 
 
 def _nonfinite_kde() -> QuadratureError:
-    return QuadratureError("KDE entropy integrand is not finite inside the range",
-                           value=float("nan"), error_estimate=float("inf"))
+    return QuadratureError("KDE entropy integrand is not finite inside the range")
 
 
 def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,

@@ -60,13 +60,7 @@ class NumericError(DdeError):
 
 
 class QuadratureError(NumericError):
-    """Adaptive integration hit its subdivision cap; reports achieved error."""
-
-    def __init__(self, message: str, *, value: float, error_estimate: float,
-                 stage: str | None = None):
-        super().__init__(message, stage=stage)
-        self.value = value
-        self.error_estimate = error_estimate
+    """The KDE entropy met a non-finite working-scale sample or integrand."""
 
 
 RowFailures = dict[int, DdeError]  # row index -> the error of that row

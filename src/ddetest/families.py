@@ -6,7 +6,7 @@ tiers:
 * testable nulls (normal, exponential, gamma, laplace, lognormal, gengamma):
   full surface — log-density, sampler, MLE fit, closed-form differential
   entropy, the null-implied kurtosis that drives bandwidth selection, and
-  the working-scale (mean, sd) that places the quadrature entropy oracle;
+  the working-scale (mean, sd);
 * alternative data-generating processes used in the size/power study
   (logistic, cauchy, scaled_t, rayleigh, loglogistic, lomax, weibull,
   invgaussian): samplers, log-densities, and entropy where a maximum-entropy
@@ -53,12 +53,12 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
+from scipy.special import digamma, gammaln, polygamma
 
 from .errors import (
     DataError, DegenerateDataError, FitError, InvalidParameterError, RowFailures, SupportError,
     first_failures, raise_row_failure, row_failures,
 )
-from .special import EULER_GAMMA, digamma, log_gamma, polygamma, trigamma
 
 _LN_2PI = math.log(2.0 * math.pi)
 _NEG_INF = float("-inf")
@@ -98,10 +98,11 @@ class Family:
     the testable nulls ``entropy`` and ``kurtosis`` take such columns as
     theta as readily as one parameter tuple.  ``positive`` names the
     parameters that must be > 0.  ``working_moments`` gives (mean, sd) on
-    the working scale (raw on R, ln X on R+), ``moments`` the raw-scale
-    (mean, variance), ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in
-    entropy, and ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of
-    the KDE entropy bias.
+    the working scale (raw on R, ln X on R+), which places the integration
+    range of the tests' entropy oracle (``tests/oracles.py``); ``moments``
+    the raw-scale (mean, variance), ``ml_bias(theta, n)`` the O(1/n) bias of
+    the plug-in entropy, and ``kde_smoothing(theta, h)`` the smoothing term
+    (h²/2) J of the KDE entropy bias.
     """
 
     family_id: FamilyId
@@ -184,7 +185,7 @@ def _logpdf_exponential(theta, x):
 def _logpdf_gamma(theta, x):
     a, b = theta
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (a - 1.0) * np.log(x) - x / b - a * math.log(b) - log_gamma(a)
+        val = (a - 1.0) * np.log(x) - x / b - a * math.log(b) - gammaln(a)
     return np.where(x > 0, val, _NEG_INF)
 
 
@@ -208,7 +209,7 @@ def _logpdf_gengamma(theta, x):
         # (x/a)^p computed in log space to avoid premature overflow
         pw = np.exp(np.minimum(p * (lx - math.log(a)), 709.0))
         val = (math.log(p) + (d - 1.0) * lx - d * math.log(a)
-               - log_gamma(d / p) - pw)
+               - gammaln(d / p) - pw)
     return np.where(x > 0, val, _NEG_INF)
 
 
@@ -226,7 +227,7 @@ def _logpdf_cauchy(theta, x):
 def _logpdf_scaled_t(theta, x):
     df, s = theta
     z = x / s
-    return (log_gamma((df + 1.0) / 2.0) - log_gamma(df / 2.0)
+    return (gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
             - 0.5 * math.log(df * math.pi) - math.log(s)
             - 0.5 * (df + 1.0) * np.log1p(z * z / df))
 
@@ -320,12 +321,12 @@ def _entropy_cauchy(theta):
 
 def _entropy_rayleigh(theta):
     (sig,) = theta
-    return 1.0 + math.log(sig / math.sqrt(2.0)) + 0.5 * EULER_GAMMA
+    return 1.0 + math.log(sig / math.sqrt(2.0)) + 0.5 * np.euler_gamma
 
 
 def _entropy_weibull(theta):
     k, lam = theta
-    return EULER_GAMMA * (k - 1.0) / k + math.log(lam / k) + 1.0
+    return np.euler_gamma * (k - 1.0) / k + math.log(lam / k) + 1.0
 
 
 # --------------------------------------------------------------------------
@@ -458,14 +459,14 @@ def _shape_gap(k):
     big = np.maximum(k, _SERIES_FROM)
     r = 1.0 / (big * big)
     dgap = -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / big) / big
-    return _gap(k), np.where(k < _SERIES_FROM, 1.0 - k * trigamma(k), dgap)
+    return _gap(k), np.where(k < _SERIES_FROM, 1.0 - k * polygamma(1, k), dgap)
 
 
 def _free_loglik(k):
     """k ln k - k - ln Gamma(k), by Stirling's series for large k."""
     big = np.maximum(k, _SERIES_FROM)
     series = 0.5 * np.log(big / (2.0 * math.pi)) + _stirling_tail(big)
-    return np.where(k < _SERIES_FROM, k * np.log(k) - k - log_gamma(k), series)
+    return np.where(k < _SERIES_FROM, k * np.log(k) - k - gammaln(k), series)
 
 
 def _gamma_shape(s):
@@ -497,12 +498,6 @@ def _exp_shift(z):
     largest value where it exceeds 500, else 0."""
     top = z.max(axis=1)
     return np.where(top > 500.0, top, 0.0)
-
-
-def _log_mean_exp(z):
-    """ln mean(e^z) along each row of z; expm1 keeps a small value exact."""
-    shift = _exp_shift(z)
-    return shift + np.log1p(_mean(np.expm1(z - shift[:, None])))
 
 
 def _gamma_profile(dev, ln_p):
@@ -557,16 +552,13 @@ def _profile_slopes(k, g, v):
 
 
 def _fit_gamma(rows):
-    # the p = 1 row of the generalized-gamma profile, for every row at once
+    # the p = 1 column of the generalized-gamma profile, for every row at once
     lx = np.log(rows)
-    dev = lx - _mean(lx)[:, None]
-    s = _log_mean_exp(dev) - _mean(dev)
-    ok = s > 0.0
-    a = np.full(s.shape, np.nan)
-    a[ok] = _gamma_shape(s[ok])
-    failures = row_failures(~ok, lambda i: DegenerateDataError("log-moment gap is non-positive"))
+    ll, a = _gamma_profile(lx - _mean(lx)[:, None], np.zeros((rows.shape[0], 1)))[:2]
+    ll, a = ll[:, 0], a[:, 0]
     failures = first_failures(
-        failures,
+        row_failures(ll == -np.inf,
+                     lambda i: DegenerateDataError("log-moment gap is non-positive")),
         row_failures(np.isnan(a), lambda i: FitError("gamma shape iteration did not converge")),
         row_failures(a > 1e10, lambda i: FitError(
             f"gamma shape estimate diverged (alpha = {float(a[i])})")),
@@ -689,7 +681,7 @@ def _kurt_gengamma(theta):
 
 
 # --------------------------------------------------------------------------
-# (mean, sd) on the working scale, for quadrature limits
+# (mean, sd) on the working scale, for the entropy oracle's integration range
 # --------------------------------------------------------------------------
 
 def _working_normal(th):
@@ -705,18 +697,18 @@ def _working_logistic(th):
 
 
 def _working_exponential(th):
-    return math.log(th[0]) + float(digamma(1.0)), math.sqrt(float(trigamma(1.0)))
+    return math.log(th[0]) + float(digamma(1.0)), math.sqrt(float(polygamma(1, 1.0)))
 
 
 def _working_gamma(th):
     a, b = th
-    return float(digamma(a)) + math.log(b), math.sqrt(float(trigamma(a)))
+    return float(digamma(a)) + math.log(b), math.sqrt(float(polygamma(1, a)))
 
 
 def _working_gengamma(th):
     a, d, p = th
     q = d / p
-    return math.log(a) + float(digamma(q)) / p, math.sqrt(float(trigamma(q))) / p
+    return math.log(a) + float(digamma(q)) / p, math.sqrt(float(polygamma(1, q))) / p
 
 
 # --------------------------------------------------------------------------
@@ -747,9 +739,9 @@ def _moments_lognormal(th):
 
 def _moments_gengamma(th):
     a, d, p = th
-    lg = float(log_gamma(d / p))
-    m1 = a * math.exp(float(log_gamma((d + 1.0) / p)) - lg)
-    m2 = a * a * math.exp(float(log_gamma((d + 2.0) / p)) - lg)
+    lg = float(gammaln(d / p))
+    m1 = a * math.exp(float(gammaln((d + 1.0) / p)) - lg)
+    m2 = a * a * math.exp(float(gammaln((d + 2.0) / p)) - lg)
     return m1, m2 - m1 * m1
 
 
@@ -790,8 +782,8 @@ def _moments_lomax(th):
 
 def _moments_weibull(th):
     k, lam = th
-    g1 = math.exp(float(log_gamma(1.0 + 1.0 / k)))
-    g2 = math.exp(float(log_gamma(1.0 + 2.0 / k)))
+    g1 = math.exp(float(gammaln(1.0 + 1.0 / k)))
+    g2 = math.exp(float(gammaln(1.0 + 2.0 / k)))
     return lam * g1, lam * lam * (g2 - g1 * g1)
 
 
@@ -817,7 +809,7 @@ def _ml_bias_exponential(theta, n):
 def _ml_bias_gamma(theta, n):
     a = theta[0]
     return (1.0 / (2.0 * n * a)
-            + (1.0 - a) / (2.0 * n) * (1.0 - (a - 1.0) * float(trigamma(a))))
+            + (1.0 - a) / (2.0 * n) * (1.0 - (a - 1.0) * float(polygamma(1, a))))
 
 
 def _ml_bias_laplace(theta, n):

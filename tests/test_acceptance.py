@@ -18,10 +18,11 @@ import ddetest as d
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
 from ddetest.dde import BootstrapDistribution, resolve_threads
-from ddetest.entropy import _de_ml_quadrature
 from ddetest.families import FamilyId, FittedModel, Support
 from ddetest.montecarlo import NULL_MEMBERS
-from ddetest.quadrature import IntegrationRange, Scale, entropy_range, integrate
+from ddetest.quadrature import IntegrationRange, Scale, entropy_range
+
+from oracles import _de_ml_quadrature, integrate
 
 FULL_SCALE = os.environ.get("DDETEST_FULL_SCALE", "") not in ("", "0")
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -108,8 +109,8 @@ def test_criterion_2_ln_space_identity():
 
         ln_rng = entropy_range(data, h, Support.POSITIVE, m=12.0)
         raw_rng = IntegrationRange(math.exp(ln_rng.lower), math.exp(ln_rng.upper))
-        # seed panels log-spaced: the integrand's structure lives on the ln
-        # scale, so equally spaced raw panels would alias it
+        # break the range at log-spaced points: the integrand's structure
+        # lives on the ln scale, so equally spaced raw panels would alias it
         edges = np.exp(np.linspace(ln_rng.lower, ln_rng.upper, 257))
         edges[0], edges[-1] = raw_rng.lower, raw_rng.upper
         raw_value = integrate(raw_image, raw_rng, tol=1e-10, edges=edges)

@@ -318,8 +318,7 @@ def test_quadrature_error_aborts_the_bootstrap(monkeypatch):
     import ddetest.dde as dde_mod
 
     def broken(*args):
-        raise QuadratureError("KDE entropy integrand is not finite inside the range",
-                              value=math.nan, error_estimate=math.inf)
+        raise QuadratureError("KDE entropy integrand is not finite inside the range")
 
     monkeypatch.setattr(dde_mod, "_kde_entropy", broken)
     data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 50, substream("qerr"))

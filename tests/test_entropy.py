@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import xlogy
+from scipy.special import digamma, xlogy
 
 from ddetest import (
     FamilyId, FittedModel, de_kde, de_ml, fit_mle, kde_pdf, kde_smoothing_bias,
@@ -12,13 +12,13 @@ from ddetest import (
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
 from ddetest.entropy import (
-    _GL_NODES, _GL_WEIGHTS, _PANEL_BANDWIDTHS, _SQRT_2PI, DEFAULT_TOL, _de_ml_quadrature,
-    _kde_entropy_rows,
+    _GL_NODES, _GL_WEIGHTS, _PANEL_BANDWIDTHS, _SQRT_2PI, _kde_entropy_rows,
 )
 from ddetest.errors import InvalidParameterError, QuadratureError
 from ddetest.families import Support, get_family
-from ddetest.quadrature import IntegrationRange, Scale, entropy_range, integrate, range_bounds
-from ddetest.special import digamma
+from ddetest.quadrature import IntegrationRange, Scale, entropy_range, range_bounds
+
+from oracles import DEFAULT_TOL, _de_ml_quadrature, integrate
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
