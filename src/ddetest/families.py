@@ -424,8 +424,11 @@ def _mean_var(rows):
 
 
 def _fit_normal(rows):
-    u, s2 = _mean_var(rows)
-    return (u, s2), row_failures(s2 <= 0.0, lambda i: DegenerateDataError("zero variance"))
+    with np.errstate(over="ignore"):  # a variance past the float range fails its row below
+        u, s2 = _mean_var(rows)
+    return (u, s2), first_failures(
+        row_failures(~np.isfinite(s2), lambda i: DataError("variance is not finite")),
+        row_failures(s2 <= 0.0, lambda i: DegenerateDataError("zero variance")))
 
 
 def _fit_exponential(rows):
@@ -455,11 +458,14 @@ def _gap(k):
 
 
 def _shape_gap(k):
-    """(ln k - psi(k), its derivative in ln k)."""
+    """(ln k - psi(k), its derivative in ln k), for an array k.  The slow
+    trigamma runs only where the series does not."""
     big = np.maximum(k, _SERIES_FROM)
     r = 1.0 / (big * big)
     dgap = -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / big) / big
-    return _gap(k), np.where(k < _SERIES_FROM, 1.0 - k * polygamma(1, k), dgap)
+    small = k < _SERIES_FROM
+    dgap[small] = 1.0 - k[small] * polygamma(1, k[small])
+    return _gap(k), dgap
 
 
 def _free_loglik(k):
@@ -493,61 +499,85 @@ def _gamma_shape(s):
     return k
 
 
-def _exp_shift(z):
-    """Per-row shift that keeps e^(z - shift) finite far out: the row's
-    largest value where it exceeds 500, else 0."""
-    top = z.max(axis=1)
-    return np.where(top > 500.0, top, 0.0)
+_BLOCK = 1 << 16  # elements of p dev built at once
+
+
+def _exp_blocks(dev, p):
+    """Yield ((rows, cols), e, shift) over blocks of the (rows, k) array p,
+    given the (rows, n) array dev: e = e^{p dev - shift} - 1 as a (rows, cols,
+    n) block of at most 2^16 elements (or one row's one point), so memory
+    stays O(n).  The (rows, cols) shift is p max(dev) where that exceeds 500,
+    else 0, which keeps e finite far out; it is exactly the largest p dev,
+    because multiplying by p > 0 is monotone under rounding."""
+    n = dev.shape[1]
+    cols = max(1, min(p.shape[1], _BLOCK // n))
+    step = max(1, _BLOCK // (cols * n))
+    top = dev.max(axis=1)
+    for i in range(0, p.shape[0], step):
+        rows = slice(i, i + step)
+        for j in range(0, p.shape[1], cols):
+            at = rows, slice(j, j + cols)
+            e = p[at][..., None] * dev[rows, None, :]
+            shift = p[at] * top[rows, None]
+            shift = np.where(shift > 500.0, shift, 0.0)
+            if shift.any():
+                e -= shift[..., None]
+            np.expm1(e, out=e)
+            yield at, e, shift
 
 
 def _gamma_profile(dev, ln_p):
     """Gamma MLE of y = x^p at each ln p of a (rows, k) array, given the
     (rows, n) deviations dev = ln x - mean(ln x).
 
-    Returns (rows, k) arrays (loglik, k, lme, g, v): the generalized-gamma mean
+    Returns (rows, k) arrays (loglik, k, lme): the generalized-gamma mean
     log-likelihood maximized over (a, d), less mean(ln x), NaN where the shape
-    iteration does not converge; the shape k of y; lme = ln mean(e^{p dev});
-    and, under weights w ~ e^{p dev}, g = p (E_w[dev] - mean(dev)) and
-    v = p^2 Var_w(dev).  With s = lme - p mean(dev), loglik = ln p - k s +
-    k ln k - k - ln Gamma(k), and g and g + v are the first two derivatives
-    of s in ln p (see ``_profile_slopes``).  p dev is built 2^16 elements (or
-    one row) at a time, and its weighted moments come from the same block, so
-    memory stays O(n)."""
+    iteration does not converge; the shape k of y; and lme = ln mean(e^{p dev}).
+    With s = lme - p mean(dev), loglik = ln p - k s + k ln k - k - ln Gamma(k).
+    The slopes of loglik in ln p also need ``_profile_moments`` at the same
+    points (see ``_profile_slopes``)."""
     p = np.exp(ln_p)
-    mean_dev = _mean(dev)
-    lme, m1, var = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
-    owner = np.repeat(np.arange(dev.shape[0]), p.shape[1])
-    step = max(1, (1 << 16) // dev.shape[1])
-    for i in range(0, p.size, step):
-        at = slice(i, i + step)
-        d, mean_d = dev[owner[at]], mean_dev[owner[at]]
-        e = p.flat[at][:, None] * d
-        shift = _exp_shift(e)
-        e -= shift[:, None]
-        np.expm1(e, out=e)
-        m0 = _mean(e)
-        lme.flat[at] = shift + np.log1p(m0)
-        # with w = 1 + e, E_w[dev] - mean(dev) follows from sum(dev w) =
-        # sum(dev) + sum(dev e), sum(dev) = n mean(dev): nothing cancels at small p
-        m1.flat[at] = mu = (_mean(d * e) - mean_d * m0) / (1.0 + m0)
-        d -= (mean_d + mu)[:, None]
-        d *= d
-        e += 1.0
-        d *= e
-        var.flat[at] = _mean(d) / (1.0 + m0)
-    s = lme - p * mean_dev[:, None]
+    lme = np.empty(p.shape)
+    for at, e, shift in _exp_blocks(dev, p):
+        lme[at] = shift + np.log1p(_mean(e))
+    s = lme - p * _mean(dev)[:, None]
     ok = s > 0.0
     k = np.full(p.shape, np.nan)
     k[ok] = _gamma_shape(s[ok])
-    return (np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme,
-            p * m1, p * p * var)
+    return np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme
+
+
+def _profile_moments(dev, ln_p):
+    """The p-weighted moments of dev at each ln p of a (rows, k) array, from
+    the same blocks as ``_gamma_profile``.
+
+    Returns (rows, k) arrays (g, v): under weights w ~ e^{p dev},
+    g = p (E_w[dev] - mean(dev)) and v = p^2 Var_w(dev).  With s = lme -
+    p mean(dev), g and g + v are the first two derivatives of s in ln p."""
+    p = np.exp(ln_p)
+    mean_dev = _mean(dev)
+    m1, var = np.empty(p.shape), np.empty(p.shape)
+    for at, e, _ in _exp_blocks(dev, p):
+        rows = at[0]
+        d, mean_d = dev[rows, None, :], mean_dev[rows, None]
+        m0 = _mean(e)
+        # with w = 1 + e, E_w[dev] - mean(dev) follows from sum(dev w) =
+        # sum(dev) + sum(dev e), sum(dev) = n mean(dev): nothing cancels at small p
+        m1[at] = mu = (_mean(d * e) - mean_d * m0) / (1.0 + m0)
+        d = d - (mean_d + mu)[..., None]
+        d *= d
+        e += 1.0
+        d *= e
+        var[at] = _mean(d) / (1.0 + m0)
+    return p * m1, p * p * var
 
 
 def _profile_slopes(k, g, v):
     """First and second derivatives in u = ln p of ``_gamma_profile``'s
-    loglik, from its k, g and v.  loglik is stationary in k at the solved
-    shape, so the score is 1 - k g; the curvature is -(dk/du) g - k (g + v),
-    with dk/du = k g / (d gap/d ln k) from ln k - psi(k) = s."""
+    loglik, from its k and ``_profile_moments``' g and v.  loglik is
+    stationary in k at the solved shape, so the score is 1 - k g; the
+    curvature is -(dk/du) g - k (g + v), with dk/du = k g / (d gap/d ln k)
+    from ln k - psi(k) = s."""
     return 1.0 - k * g, -k * g * g / _shape_gap(k)[1] - k * (g + v)
 
 
@@ -606,7 +636,7 @@ def _fit_gengamma(rows):
     m = _mean(lx)
     dev = lx - m[:, None]
     grid = np.broadcast_to(_GG_LN_P, (rows.shape[0], _GG_LN_P.size))
-    ll, k, lme, g, v = _gamma_profile(dev, grid)
+    ll, k, lme = _gamma_profile(dev, grid)
     best = np.argmax(ll, axis=1)
     at = np.arange(rows.shape[0]), best
     stuck = np.isnan(ll).any(axis=1)
@@ -615,19 +645,20 @@ def _fit_gengamma(rows):
     ll_hat, ln_p, k_hat, lme_hat = (col[at] for col in (ll, grid, k, lme))
     live = np.flatnonzero(~(stuck | nowhere | edge))  # rows that failed stay on the grid
     lo, hi = _GG_LN_P[best[live] - 1], _GG_LN_P[best[live] + 1]
-    u = ln_p[live]
-    s, c = _profile_slopes(k_hat[live], g[at][live], v[at][live])
+    u, k_u = ln_p[live], k_hat[live]
     for _ in range(_GG_MAX_STEPS):
+        # the slopes at each live row's last point: its grid point, then its Newton points
+        g, v = (col[:, 0] for col in _profile_moments(dev[live], u[:, None]))
+        s, c = _profile_slopes(k_u, g, v)
         lo, hi = np.where(s > 0.0, u, lo), np.where(s < 0.0, u, hi)
         newton = u - s / c
         u_new = np.where((c < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
         done = np.abs(u_new - u) <= _GG_TOL
         u = u_new
-        ll_u, k_u, lme_u, g_u, v_u = (col[:, 0] for col in _gamma_profile(dev[live], u[:, None]))
-        s, c = _profile_slopes(k_u, g_u, v_u)
+        ll_u, k_u, lme_u = (col[:, 0] for col in _gamma_profile(dev[live], u[:, None]))
         stuck[live] |= np.isnan(ll_u)
         ll_hat[live], ln_p[live], k_hat[live], lme_hat[live] = ll_u, u, k_u, lme_u
-        live, lo, hi, u, s, c = (col[~done] for col in (live, lo, hi, u, s, c))
+        live, lo, hi, u, k_u = (col[~done] for col in (live, lo, hi, u, k_u))
         if live.size == 0:
             break
     on_grid = ll[at] > ll_hat  # a refined row keeps its grid point only if strictly higher

@@ -455,6 +455,15 @@ def test_run_test_error_carries_stage():
     assert err.value.stage == "fit"
 
 
+def test_normal_fit_past_the_float_range_is_a_data_error():
+    # the squared deviations overflow; under warnings as errors, an overflow
+    # warning would surface here in place of the typed error
+    data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 50, substream("rt", 9)) * 1e200
+    with pytest.raises(DataError, match="variance is not finite") as err:
+        run_test(FamilyId.NORMAL, data, n_boot=10, seed=1)
+    assert err.value.stage == "fit" and err.value.exit_code == 3
+
+
 def test_exponential_null_scale_equivariant_p_values():
     # DDE under an exponential null is scale-free, and dyadic rescaling is
     # float-exact, so matched seeds give identical p-values

@@ -1,6 +1,7 @@
 import math
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -349,17 +350,21 @@ def _log_deviations(rows):
 
 def _profile(dev, ln_p):
     """The GG profile's log-likelihood, score and curvature in ln p."""
-    ll, k, _, g, v = families._gamma_profile(dev, ln_p)
+    ll, k, _ = families._gamma_profile(dev, ln_p)
+    g, v = families._profile_moments(dev, ln_p)
     return (ll, *families._profile_slopes(k, g, v))
 
 
-@pytest.mark.parametrize("x, shifted", [
+_PROFILE_SAMPLES = [
     pytest.param(load_dataset("faithful-hardle").values, False, id="faithful"),
     pytest.param(substream("gg-slopes", "wide").lognormal(0.0, 2.0, 200), True, id="wide"),
     pytest.param(substream("gg-slopes", "narrow").lognormal(0.0, 0.05, 200), False, id="narrow"),
     pytest.param(substream("gg-slopes", "gg").gamma(4.0 / 3.0, 1.0, 100) ** (2.0 / 3.0), False,
                  id="gg"),
-])
+]
+
+
+@pytest.mark.parametrize("x, shifted", _PROFILE_SAMPLES)
 def test_gengamma_profile_slopes_match_differences(x, shifted):
     # oracle: central differences of the profile's own log-likelihood (for
     # the score) and score (for the curvature) in ln p, at steps 1e-3 and
@@ -382,16 +387,53 @@ def test_gengamma_profile_slopes_match_differences(x, shifted):
     assert curv == pytest.approx(diff(1, 2e-3), rel=1e-6, abs=1e-10)
 
 
+def _bootstrap_rows(rows, n):
+    """Bootstrap rows of the faithful GG fit."""
+    fitted = fit_mle(FamilyId.GENGAMMA, load_dataset("faithful-hardle").values)
+    streams = _PrefixStreams(123, "boot")
+    return np.array([sample(fitted, n, streams(r, 0)) for r in range(rows)])
+
+
+@pytest.mark.parametrize("rows", [
+    *(pytest.param(param.values[0][None, :], id=param.id) for param in _PROFILE_SAMPLES),
+    pytest.param(_bootstrap_rows(40, 272), id="40-rows"),
+    # a row's 60 points of p dev do not fit one block, so they are split
+    pytest.param(_bootstrap_rows(3, 3000), id="long-rows"),
+])
+def test_gengamma_profile_bits_do_not_depend_on_the_block_layout(rows):
+    # the grid call equals its one-column and one-row calls bit for bit
+    dev = _log_deviations(rows)
+    grid = np.broadcast_to(families._GG_LN_P, (rows.shape[0], families._GG_LN_P.size))
+    for f in (families._gamma_profile, families._profile_moments):
+        whole = f(dev, grid)
+        by_col = [f(dev, grid[:, j:j + 1]) for j in range(grid.shape[1])]
+        by_row = [f(dev[i:i + 1], grid[i:i + 1]) for i in range(grid.shape[0])]
+        for t, col in enumerate(whole):
+            assert col.tobytes() == np.hstack([c[t] for c in by_col]).tobytes(), (f, t)
+            assert col.tobytes() == np.vstack([r[t] for r in by_row]).tobytes(), (f, t)
+
+
+def test_gengamma_fit_memory_stays_linear_in_n():
+    # p dev is built in blocks of at most 2^16 elements: a whole (60, n)
+    # grid block would take 9.6 MB at this size
+    x = substream("gg-memory").gamma(2.0, 1.0, 20_000)
+    tracemalloc.start()
+    try:
+        fit_mle(FamilyId.GENGAMMA, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
+
+
 def test_gengamma_fit_lands_on_the_profile_score_root():
     # bootstrap rows of the faithful fit at three sizes: each fitted row's p
     # is a root of its profile score, not a nearby point the refinement left
     # behind or the grid point it started from; 1e-13 allows for the
     # profile's own rounding
-    fitted = fit_mle(FamilyId.GENGAMMA, load_dataset("faithful-hardle").values)
-    streams = _PrefixStreams(123, "boot")
     fitted_rows = 0
     for n in (30, 100, 272):
-        rows = np.array([sample(fitted, n, streams(r, 0)) for r in range(60)])
+        rows = _bootstrap_rows(60, n)
         theta, failures = families._fit_rows(FamilyId.GENGAMMA, rows)
         ok = np.array([i not in failures for i in range(len(rows))])
         u = np.log(theta[2][ok])[:, None] + np.log1p([[0.0, -1e-6, 1e-6]])
