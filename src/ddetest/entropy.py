@@ -37,7 +37,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import xlogy
 
 from .bandwidth import BandwidthSpec
 from .errors import InvalidParameterError, QuadratureError, SupportError
@@ -195,7 +194,10 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     density = np.empty_like(kernel)
     density[order] = kernel
     density *= (1.0 / (n * _SQRT_2PI * h))[panel_row, None]
-    integrand = -xlogy(density, density)
+    integrand = np.zeros_like(density)  # -f ln f, 0 where f = 0
+    np.log(density, out=integrand, where=density > 0.0)
+    integrand *= density
+    np.negative(integrand, out=integrand)
     panel_value = (integrand * _GL_WEIGHTS).sum(axis=1) * panel_half
     values = np.bincount(panel_row, weights=panel_value, minlength=rows)
     if not np.all(np.isfinite(values)):

@@ -5,8 +5,7 @@ tiers:
 
 * testable nulls (normal, exponential, gamma, laplace, lognormal, gengamma):
   full surface — log-density, sampler, MLE fit, closed-form differential
-  entropy, the null-implied kurtosis that drives bandwidth selection, and
-  the working-scale (mean, sd);
+  entropy and the null-implied kurtosis that drives bandwidth selection;
 * alternative data-generating processes used in the size/power study
   (logistic, cauchy, scaled_t, rayleigh, loglogistic, lomax, weibull,
   invgaussian): samplers, log-densities, and entropy where a maximum-entropy
@@ -53,7 +52,6 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.special import digamma, gammaln, polygamma
 
 from .errors import (
     DataError, DegenerateDataError, FitError, InvalidParameterError, RowFailures, SupportError,
@@ -97,12 +95,10 @@ class Family:
     parameter) with the failures of its own rows (see ``_fit_rows``); for
     the testable nulls ``entropy`` and ``kurtosis`` take such columns as
     theta as readily as one parameter tuple.  ``positive`` names the
-    parameters that must be > 0.  ``working_moments`` gives (mean, sd) on
-    the working scale (raw on R, ln X on R+), which places the integration
-    range of the tests' entropy oracle (``tests/oracles.py``); ``moments``
-    the raw-scale (mean, variance), ``ml_bias(theta, n)`` the O(1/n) bias of
-    the plug-in entropy, and ``kde_smoothing(theta, h)`` the smoothing term
-    (h²/2) J of the KDE entropy bias.
+    parameters that must be > 0.  ``moments`` gives the raw-scale (mean,
+    variance), ``ml_bias(theta, n)`` the O(1/n) bias of the plug-in entropy,
+    and ``kde_smoothing(theta, h)`` the smoothing term (h²/2) J of the KDE
+    entropy bias.
     """
 
     family_id: FamilyId
@@ -114,7 +110,6 @@ class Family:
     entropy: Callable | None = None
     fit: Callable | None = None
     kurtosis: Callable | None = None  # null-implied kurtosis on the working scale
-    working_moments: Callable | None = None
     moments: Callable | None = None
     ml_bias: Callable | None = None
     kde_smoothing: Callable | None = None
@@ -185,7 +180,7 @@ def _logpdf_exponential(theta, x):
 def _logpdf_gamma(theta, x):
     a, b = theta
     with np.errstate(divide="ignore", invalid="ignore"):
-        val = (a - 1.0) * np.log(x) - x / b - a * math.log(b) - gammaln(a)
+        val = (a - 1.0) * np.log(x) - x / b - a * math.log(b) - math.lgamma(a)
     return np.where(x > 0, val, _NEG_INF)
 
 
@@ -209,7 +204,7 @@ def _logpdf_gengamma(theta, x):
         # (x/a)^p computed in log space to avoid premature overflow
         pw = np.exp(np.minimum(p * (lx - math.log(a)), 709.0))
         val = (math.log(p) + (d - 1.0) * lx - d * math.log(a)
-               - gammaln(d / p) - pw)
+               - math.lgamma(d / p) - pw)
     return np.where(x > 0, val, _NEG_INF)
 
 
@@ -227,7 +222,7 @@ def _logpdf_cauchy(theta, x):
 def _logpdf_scaled_t(theta, x):
     df, s = theta
     z = x / s
-    return (gammaln((df + 1.0) / 2.0) - gammaln(df / 2.0)
+    return (math.lgamma((df + 1.0) / 2.0) - math.lgamma(df / 2.0)
             - 0.5 * math.log(df * math.pi) - math.log(s)
             - 0.5 * (df + 1.0) * np.log1p(z * z / df))
 
@@ -435,7 +430,8 @@ def _fit_exponential(rows):
     return (_mean(rows),), {}
 
 
-_SERIES_FROM = 20.0  # gamma shape above which asymptotic series replace scipy
+_SERIES_FROM = 20.0  # the asymptotic series below are accurate to a few roundings from here on
+_STEPS = np.arange(21.0)  # the recurrence's steps j = 0..19, and one past the last
 
 
 def _gap_series(k):
@@ -444,35 +440,114 @@ def _gap_series(k):
     return (0.5 + (1/12 - r * (1/120 - r * (1/252 - r * (1/240 - r / 132)))) / k) / k
 
 
+def _dgap_series(k):
+    """1 - k psi'(k) by the asymptotic series of psi', for k >= _SERIES_FROM."""
+    r = 1.0 / (k * k)
+    return -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / k) / k
+
+
+def _pentagamma_series(k):
+    """The third derivative of psi by its asymptotic series, for k >= _SERIES_FROM."""
+    r = 1.0 / (k * k)
+    return (2.0 + (3.0 + (2.0 - r * (1.0 - r * (4/3 - r * (3.0 - r * (10.0 - r * 691/15))))) / k)
+            / k) * r / k
+
+
 def _stirling_tail(k):
     """k ln k - k - ln Gamma(k) - ln(k/2pi)/2 by Stirling's series, for k >= _SERIES_FROM."""
     r = 1.0 / (k * k)
     return -(1/12 - r * (1/360 - r * (1/1260 - r * (1/1680 - r / 1188)))) / k
 
 
-def _gap(k):
-    """ln k - psi(k), by psi's asymptotic series for large k, where the
-    direct difference ~ 1/(2k) cancels catastrophically."""
-    return np.where(k < _SERIES_FROM, np.log(k) - digamma(k),
-                    _gap_series(np.maximum(k, _SERIES_FROM)))
+def _lift(k):
+    """Lift k by the recurrence psi(k) = psi(k + 1) - 1/k to y = k + m, with
+    m = ceil(20 - k) steps where k < _SERIES_FROM and none elsewhere, so that
+    the series run at y >= _SERIES_FROM.  Returns (k, y, m) as float arrays."""
+    k = np.asarray(k, dtype=float)
+    m = np.ceil(np.minimum(np.maximum(_SERIES_FROM - k, 0.0), _SERIES_FROM))
+    return k, k + m, m
+
+
+def _steps(k, m):
+    """(step, inv) for ``_lift``'s k and m: step[..., j] = 1/(k + j) for the
+    steps j < m and 0 for j = m..19, and inv[..., j] = 1/(k + j) for j =
+    0..20.  Sums over j run along each element's own row, so an element's
+    sums do not depend on the other elements."""
+    inv = k[..., None] + _STEPS
+    np.divide(1.0, inv, out=inv)
+    return inv[..., :-1] * (_STEPS[:-1] < m[..., None]), inv
+
+
+_LIFT_BLOCK = 1 << 10  # elements lifted at once by ``_in_blocks``
+
+
+def _in_blocks(f, k):
+    """f(k) for an elementwise f that returns a tuple of arrays, run on at
+    most _LIFT_BLOCK elements of k at a time, so that the allocator reuses
+    the memory of the lift's (elements, 21) arrays.  Arrays as large as the
+    2400 shapes of a 40-row GG grid would make are handed back to the system
+    after each call and faulted in again: about 400 page faults per GG test."""
+    k = np.asarray(k, dtype=float)
+    if k.size <= _LIFT_BLOCK:
+        return f(k)
+    flat = k.ravel()
+    parts = [f(flat[i:i + _LIFT_BLOCK]) for i in range(0, flat.size, _LIFT_BLOCK)]
+    return tuple(np.concatenate(col).reshape(k.shape) for col in zip(*parts))
 
 
 def _shape_gap(k):
-    """(ln k - psi(k), its derivative in ln k), for an array k.  The slow
-    trigamma runs only where the series does not."""
-    big = np.maximum(k, _SERIES_FROM)
-    r = 1.0 / (big * big)
-    dgap = -(0.5 + (1/6 - r * (1/30 - r * (1/42 - r * (1/30 - r * 5/66)))) / big) / big
-    small = k < _SERIES_FROM
-    dgap[small] = 1.0 - k[small] * polygamma(1, k[small])
-    return _gap(k), dgap
+    """(ln k - psi(k), its derivative 1 - k psi'(k) in ln k), from one lift.
+
+    With y = k + m, ln k - psi(k) = ln(k/y) + sum_j 1/(k+j) + gap(y).  Since
+    1/(k+j) - 1/(k+j+1) telescopes to 1/k - 1/y, 1 - k psi'(k) = (k/y)
+    dgap(y) - k sum_j 1/((k+j)^2 (k+j+1)): positive terms only, where the
+    direct difference cancels to about -1/(2k).  At k >= _SERIES_FROM both
+    are the series alone."""
+    def block(k):
+        k, y, m = _lift(k)
+        step, inv = _steps(k, m)
+        ky = k / y
+        gap = np.log(ky) + np.add.reduce(step, axis=-1) + _gap_series(y)
+        step *= step
+        step *= inv[..., 1:]
+        return gap, ky * _dgap_series(y) - k * np.add.reduce(step, axis=-1)
+    return _in_blocks(block, k)
+
+
+def _gap(k):
+    """ln k - psi(k), where the direct difference ~ 1/(2k) cancels
+    catastrophically at large k."""
+    return _shape_gap(k)[0]
 
 
 def _free_loglik(k):
-    """k ln k - k - ln Gamma(k), by Stirling's series for large k."""
-    big = np.maximum(k, _SERIES_FROM)
-    series = 0.5 * np.log(big / (2.0 * math.pi)) + _stirling_tail(big)
-    return np.where(k < _SERIES_FROM, k * np.log(k) - k - gammaln(k), series)
+    """k ln k - k - ln Gamma(k), by Stirling's series at the lifted y = k + m.
+
+    ln Gamma(k) = ln Gamma(y) - sum_{j<m} ln(k+j) turns it into (k+1) ln(k/y)
+    + m + ln prod_{0<j<m} (k+j)/y + ln(y/2pi)/2 + the series tail at y: no
+    term is as large as k ln k or y ln y, whose rounding the direct
+    difference keeps.  (k+j)/y >= 1 exactly where j >= m, so clipping the
+    ratios at 1 drops those factors; the product runs over j in order."""
+    def block(k):
+        k, y, m = _lift(k)
+        ratio = _STEPS[1:-1].reshape((-1,) + (1,) * k.ndim) + k
+        ratio /= y
+        np.minimum(ratio, 1.0, out=ratio)
+        lift = (k + 1.0) * np.log(k / y) + m + np.log(np.multiply.reduce(ratio, axis=0))
+        return (0.5 * np.log(y / (2.0 * math.pi)) + _stirling_tail(y) + lift,)
+    return _in_blocks(block, k)[0]
+
+
+def _log_gamma_cumulants(q):
+    """(psi'(q), psi'''(q)): the second and fourth cumulants of ln G for
+    G ~ Gamma(q), from the lift: psi^(n)(q) = psi^(n)(y) + n! sum_j
+    1/(q+j)^(n+1) for odd n."""
+    q, y, m = _lift(q)
+    step, _ = _steps(q, m)
+    step *= step
+    trigamma = (1.0 - _dgap_series(y)) / y + np.add.reduce(step, axis=-1)
+    step *= step
+    return trigamma, _pentagamma_series(y) + 6.0 * np.add.reduce(step, axis=-1)
 
 
 def _gamma_shape(s):
@@ -682,7 +757,8 @@ def _fit_gengamma(rows):
 
 def _ln_gamma_kurtosis(q):
     # cumulants of ln G, G ~ Gamma(q): kappa_2 = psi'(q), kappa_4 = psi'''(q)
-    return 3.0 + polygamma(3, q) / polygamma(1, q) ** 2
+    kappa2, kappa4 = _log_gamma_cumulants(q)
+    return 3.0 + kappa4 / kappa2 ** 2
 
 
 def _kurt_normal(theta):
@@ -709,37 +785,6 @@ def _kurt_gengamma(theta):
     # ln X = ln a + (1/p) ln G with G ~ Gamma(d/p); scaling cancels in kurtosis
     _, d, p = theta
     return _ln_gamma_kurtosis(d / p)
-
-
-# --------------------------------------------------------------------------
-# (mean, sd) on the working scale, for the entropy oracle's integration range
-# --------------------------------------------------------------------------
-
-def _working_normal(th):
-    return th[0], math.sqrt(th[1])
-
-
-def _working_laplace(th):
-    return th[0], th[1] * math.sqrt(2.0)
-
-
-def _working_logistic(th):
-    return th[0], th[1] * math.pi / math.sqrt(3.0)
-
-
-def _working_exponential(th):
-    return math.log(th[0]) + float(digamma(1.0)), math.sqrt(float(polygamma(1, 1.0)))
-
-
-def _working_gamma(th):
-    a, b = th
-    return float(digamma(a)) + math.log(b), math.sqrt(float(polygamma(1, a)))
-
-
-def _working_gengamma(th):
-    a, d, p = th
-    q = d / p
-    return math.log(a) + float(digamma(q)) / p, math.sqrt(float(polygamma(1, q))) / p
 
 
 # --------------------------------------------------------------------------
@@ -770,9 +815,9 @@ def _moments_lognormal(th):
 
 def _moments_gengamma(th):
     a, d, p = th
-    lg = float(gammaln(d / p))
-    m1 = a * math.exp(float(gammaln((d + 1.0) / p)) - lg)
-    m2 = a * a * math.exp(float(gammaln((d + 2.0) / p)) - lg)
+    lg = math.lgamma(d / p)
+    m1 = a * math.exp(math.lgamma((d + 1.0) / p) - lg)
+    m2 = a * a * math.exp(math.lgamma((d + 2.0) / p) - lg)
     return m1, m2 - m1 * m1
 
 
@@ -813,8 +858,8 @@ def _moments_lomax(th):
 
 def _moments_weibull(th):
     k, lam = th
-    g1 = math.exp(float(gammaln(1.0 + 1.0 / k)))
-    g2 = math.exp(float(gammaln(1.0 + 2.0 / k)))
+    g1 = math.exp(math.lgamma(1.0 + 1.0 / k))
+    g2 = math.exp(math.lgamma(1.0 + 2.0 / k))
     return lam * g1, lam * lam * (g2 - g1 * g1)
 
 
@@ -829,7 +874,8 @@ def _moments_invgaussian(th):
 # --------------------------------------------------------------------------
 
 def _ml_bias_normal(theta, n):
-    return 0.5 * (float(digamma((n - 1) / 2.0)) - math.log(n / 2.0))
+    # psi((n-1)/2) - ln(n/2) = ln((n-1)/n) - (ln k - psi(k)) at k = (n-1)/2
+    return 0.5 * (math.log1p(-1.0 / n) - float(_gap((n - 1) / 2.0)))
 
 
 def _ml_bias_exponential(theta, n):
@@ -840,7 +886,7 @@ def _ml_bias_exponential(theta, n):
 def _ml_bias_gamma(theta, n):
     a = theta[0]
     return (1.0 / (2.0 * n * a)
-            + (1.0 - a) / (2.0 * n) * (1.0 - (a - 1.0) * float(polygamma(1, a))))
+            + (1.0 - a) / (2.0 * n) * (1.0 - (a - 1.0) * float(_log_gamma_cumulants(a)[0])))
 
 
 def _ml_bias_laplace(theta, n):
@@ -884,44 +930,41 @@ _register(Family(FamilyId.NORMAL, ("u", "sigma2"), Support.REAL,
                  positive=("sigma2",),
                  log_pdf=_logpdf_normal, entropy=_entropy_normal,
                  sampler=_sample_normal, fit=_fit_normal, kurtosis=_kurt_normal,
-                 working_moments=_working_normal, moments=_moments_normal,
-                 ml_bias=_ml_bias_normal, kde_smoothing=_smooth_bias_normal))
+                 moments=_moments_normal, ml_bias=_ml_bias_normal,
+                 kde_smoothing=_smooth_bias_normal))
 _register(Family(FamilyId.EXPONENTIAL, ("theta",), Support.POSITIVE,
                  positive=("theta",),
                  log_pdf=_logpdf_exponential, entropy=_entropy_exponential,
                  sampler=_sample_exponential, fit=_fit_exponential,
-                 kurtosis=_kurt_exponential,
-                 working_moments=_working_exponential, moments=_moments_exponential,
+                 kurtosis=_kurt_exponential, moments=_moments_exponential,
                  ml_bias=_ml_bias_exponential, kde_smoothing=_smooth_bias_exponential))
 _register(Family(FamilyId.GAMMA, ("alpha", "beta"), Support.POSITIVE,
                  positive=("alpha", "beta"),
                  log_pdf=_logpdf_gamma, entropy=_entropy_gamma,
                  sampler=_sample_gamma, fit=_fit_gamma, kurtosis=_kurt_gamma,
-                 working_moments=_working_gamma, moments=_moments_gamma,
-                 ml_bias=_ml_bias_gamma, kde_smoothing=_smooth_bias_gamma))
+                 moments=_moments_gamma, ml_bias=_ml_bias_gamma,
+                 kde_smoothing=_smooth_bias_gamma))
 _register(Family(FamilyId.LAPLACE, ("u", "b"), Support.REAL,
                  positive=("b",),
                  log_pdf=_logpdf_laplace, entropy=_entropy_laplace,
                  sampler=_sample_laplace, fit=_fit_laplace, kurtosis=_kurt_laplace,
-                 working_moments=_working_laplace, moments=_moments_laplace,
-                 ml_bias=_ml_bias_laplace, kde_smoothing=_smooth_bias_laplace))
+                 moments=_moments_laplace, ml_bias=_ml_bias_laplace,
+                 kde_smoothing=_smooth_bias_laplace))
 _register(Family(FamilyId.LOGNORMAL, ("u", "sigma2"), Support.POSITIVE,
                  positive=("sigma2",),
                  log_pdf=_logpdf_lognormal, entropy=_entropy_lognormal,
                  sampler=_sample_lognormal, fit=_fit_lognormal, kurtosis=_kurt_lognormal,
-                 # ln X ~ N(u, sigma2): the working scale shares the normal's form
-                 working_moments=_working_normal, moments=_moments_lognormal))
+                 moments=_moments_lognormal))
 _register(Family(FamilyId.GENGAMMA, ("a", "d", "p"), Support.POSITIVE,
                  positive=("a", "d", "p"),
                  log_pdf=_logpdf_gengamma, entropy=_entropy_gengamma,
                  sampler=_sample_gengamma, fit=_fit_gengamma, kurtosis=_kurt_gengamma,
-                 working_moments=_working_gengamma, moments=_moments_gengamma))
+                 moments=_moments_gengamma))
 
 _register(Family(FamilyId.LOGISTIC, ("u", "s"), Support.REAL,
                  positive=("s",),
                  log_pdf=_logpdf_logistic, entropy=_entropy_logistic,
-                 sampler=_sample_logistic,
-                 working_moments=_working_logistic, moments=_moments_logistic))
+                 sampler=_sample_logistic, moments=_moments_logistic))
 _register(Family(FamilyId.CAUCHY, ("x0", "gamma"), Support.REAL,
                  positive=("gamma",),
                  log_pdf=_logpdf_cauchy, entropy=_entropy_cauchy,

@@ -193,8 +193,8 @@ def test_python_dash_m_package_runs_the_cli():
 
 
 def test_cli_import_leaves_out_scipy_optimize():
-    # the package needs scipy.special only; scipy.optimize would add a large
-    # share of every CLI start, and scipy.integrate serves the test oracles only
+    # scipy.optimize would add a large share of every CLI start, and
+    # scipy.integrate serves the test oracles only
     import ddetest
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(ddetest.__file__)))
@@ -206,3 +206,26 @@ def test_cli_import_leaves_out_scipy_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_runs_without_scipy():
+    # scipy serves the test oracles only: neither importing the command line
+    # nor running a GG test, a KDE entropy and an ML entropy with its bias
+    # diagnostic loads any of it, lazily or not
+    import ddetest
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddetest.__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "import ddetest.cli as cli\n"
+        "runs = [['test', '--family', 'gengamma', '--data', 'faithful-hardle', '--nboot', '8'],\n"
+        "        ['entropy', '--data', 'faithful-hardle', '--kde', '--null-family', 'gamma'],\n"
+        "        ['entropy', '--data', 'faithful-hardle', '--family', 'gamma']]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(args + ['--threads', '1']) for args in runs]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0] []"
