@@ -5,12 +5,12 @@ entropy against a kernel-density entropy estimate, and calibrate the gap by
 parametric bootstrap.
 """
 from .bandwidth import (
-    BandwidthSpec, Regime, ShapeStats, classify_regime, select_bandwidth,
-    shape_multiplier, small_sample_inflation,
+    BandwidthSpec, Regime, ShapeStats, select_bandwidth, shape_multiplier,
+    small_sample_inflation,
 )
 from .dde import (
-    BootstrapDistribution, DdeResult, bootstrap_null, critical_interval,
-    dde_statistic, p_value, run_test,
+    BootstrapDistribution, DdeResult, bootstrap_null, critical_interval, p_value,
+    run_test,
 )
 from .datasets import Dataset, load_dataset
 from .entropy import de_kde, de_ml, kde_pdf, kde_smoothing_bias, ml_entropy_bias
@@ -37,8 +37,8 @@ __all__ = [
     "FitError", "FittedModel", "IntegrationRange", "InvalidParameterError",
     "NULL_MEMBERS", "NumericError", "QuadratureError", "Regime", "Scale",
     "ShapeStats", "SimCell", "SimReport", "Support", "SupportError",
-    "TESTABLE_NULLS", "UsageError", "bootstrap_null", "classify_regime",
-    "closed_form_entropy", "critical_interval", "dde_statistic", "de_kde", "de_ml",
+    "TESTABLE_NULLS", "UsageError", "bootstrap_null", "closed_form_entropy",
+    "critical_interval", "de_kde", "de_ml",
     "dgp_moments", "entropy_range", "fit_mle", "get_family", "kde_pdf",
     "kde_smoothing_bias", "load_dataset", "log_pdf", "mean_log_likelihood",
     "ml_entropy_bias", "null_kurtosis", "p_value", "run_test", "run_experiment",

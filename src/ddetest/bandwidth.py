@@ -96,44 +96,31 @@ def _shape_rows(x: np.ndarray) -> tuple[tuple, RowFailures]:
     return (sigma, skew, kurt), failures
 
 
-def _sample_shape(x: np.ndarray) -> tuple[float, float, float]:
-    """``_shape_rows`` of one sample."""
-    shape, failures = _shape_rows(np.asarray(x, dtype=float).reshape(1, -1))
-    raise_row_failure(failures)
-    return tuple(float(v[0]) for v in shape)
-
-
-def _working_rows(null_family: FamilyId, rows: np.ndarray) -> tuple[np.ndarray, Scale, RowFailures]:
+def _working_rows(null_family: FamilyId, rows: np.ndarray) -> tuple[np.ndarray, RowFailures]:
     """The rows on the scale the KDE smooths (ln x on positive support), and
-    the rows with values outside the null's support."""
+    the rows the bandwidth rule refuses: all of them, left as they are, if
+    they hold fewer than ``MIN_SIZE`` values, else those with values outside
+    the null's support."""
     fam = get_family(null_family)
+    if rows.shape[1] < MIN_SIZE:
+        return rows, row_failures(np.ones(len(rows), dtype=bool), lambda i: DataError(
+            f"bandwidth selection needs at least {MIN_SIZE} observations"))
     if fam.support is not Support.POSITIVE:
-        return rows, Scale.RAW, {}
+        return rows, {}
     failures = row_failures(rows.min(axis=1) <= 0.0, lambda i: SupportError(
         f"{fam.family_id.value} null has positive support; data contain values <= 0"
     ))
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.log(rows), Scale.LN, failures
+        return np.log(rows), failures
 
 
 def _near_gaussian(skew, kurt):
     return (np.abs(skew) <= 0.5) & (2.0 <= kurt) & (kurt <= 4.0)
 
 
-def classify_regime(null_family: FamilyId | str, data) -> Regime:
-    """Bandwidth regime for the null family given the observed sample."""
-    fam = get_family(null_family)
-    data = np.asarray(data, dtype=float)
-    if data.size < MIN_SIZE:
-        raise DataError(f"regime classification needs at least {MIN_SIZE} observations")
-    if fam.family_id is FamilyId.NORMAL or fam.support is Support.POSITIVE:
-        return _regime(fam.family_id, None)
-    return _regime(fam.family_id, _sample_shape(data))
-
-
-def _regime(null_family: FamilyId, shape: tuple[float, float, float] | None) -> Regime:
-    """The regime given ``_sample_shape`` of the working data, which only
-    real-support nulls other than the normal read."""
+def _regime(null_family: FamilyId, shape: tuple[float, float, float]) -> Regime:
+    """The regime given the (sigma, skewness, kurtosis) of the working data,
+    which only real-support nulls other than the normal read."""
     if null_family is FamilyId.NORMAL:
         return Regime.GAUSSIAN
     if get_family(null_family).support is Support.POSITIVE:
@@ -177,6 +164,21 @@ def _bandwidth_rows(null_family: FamilyId, kappa0, working: np.ndarray):
     return h, c, shape, failures
 
 
+def _bandwidth_spec(null_family: FamilyId, n: int, kappa0, h, c, shape) -> BandwidthSpec:
+    """The ``BandwidthSpec`` of row 0 of a ``_bandwidth_rows`` call on n
+    values per row, with its ``kappa0`` (one value, or one per row)."""
+    fam = get_family(null_family)
+    sigma, skew, kurt = (float(v[0]) for v in shape)
+    kappa0, tau = float(np.ravel(kappa0)[0]), float(truncate_kurtosis(kurt))
+    stats = ShapeStats(
+        kappa_hat=kurt, skew_hat=skew, kappa0=kappa0, tau=tau, gamma_kurt=kappa0 / tau,
+        sigma_hat=sigma,
+    )
+    return BandwidthSpec(h=float(h[0]), c=float(c[0]), k_n=small_sample_inflation(n), n=n,
+                         scale=Scale.LN if fam.support is Support.POSITIVE else Scale.RAW,
+                         shape=stats, regime=_regime(fam.family_id, (sigma, skew, kurt)))
+
+
 def select_bandwidth(
     null_family: FamilyId | str,
     fitted: FittedModel,
@@ -192,20 +194,9 @@ def select_bandwidth(
     """
     fam = get_family(null_family)
     data = np.asarray(data, dtype=float).reshape(1, -1)
-    if data.size < MIN_SIZE:
-        raise DataError(f"bandwidth selection needs at least {MIN_SIZE} observations")
-    working, scale, failures = _working_rows(fam.family_id, data)
+    working, failures = _working_rows(fam.family_id, data)
     raise_row_failure(failures)
     kappa0 = null_kurtosis(fitted)
     h, c, shape, failures = _bandwidth_rows(fam.family_id, kappa0, working)
     raise_row_failure(failures)
-    sigma, skew, kurt = (float(v[0]) for v in shape)
-    tau = float(truncate_kurtosis(kurt))
-    n = int(data.size)
-    stats = ShapeStats(
-        kappa_hat=kurt, skew_hat=skew, kappa0=kappa0, tau=tau, gamma_kurt=kappa0 / tau,
-        sigma_hat=sigma,
-    )
-    return BandwidthSpec(h=float(h[0]), c=float(c[0]), k_n=small_sample_inflation(n), n=n,
-                         scale=scale, shape=stats,
-                         regime=_regime(fam.family_id, (sigma, skew, kurt)))
+    return _bandwidth_spec(fam.family_id, int(data.size), kappa0, h, c, shape)

@@ -23,12 +23,13 @@ Each attempt of a group makes one such call: attempt 0 on every replicate,
 attempts 1-3 on the rows that failed the attempt before, redrawn together.
 A group holds at most ``KDE_BLOCK_BYTES`` of samples, and with a pool (at
 n_boot >= 8) at most ⌈n_boot / (4 threads)⌉ replicates; each pool task is
-one group.  ``fit_mle``, ``select_bandwidth``, ``de_ml`` and ``de_kde`` are
-the one-row calls of the same code, which the observed statistic uses.
-Every replicate draws from a stream that is a pure function of (seed,
-replicate, attempt), and every row-wise stage reduces along rows only, so a
-replicate's value is bit-identical alone or in any group, and results are
-bit-identical regardless of how replicates are scheduled across workers.
+one group.  The observed statistic is one more such call, on the data as a
+single row; ``fit_mle``, ``select_bandwidth``, ``de_ml`` and ``de_kde`` are
+the one-row calls of its stages.  Every replicate draws from a stream that
+is a pure function of (seed, replicate, attempt), and every row-wise stage
+reduces along rows only, so a replicate's value is bit-identical alone or
+in any group, and results are bit-identical regardless of how replicates are
+scheduled across workers.
 
 Parallelism happens at one level, with one process pool.  A lone test
 (``ddetest test``) spreads groups of bootstrap replicates over ``threads``
@@ -47,11 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bandwidth import (
-    MIN_SIZE as MIN_BANDWIDTH_SIZE, BandwidthSpec, _bandwidth_rows, _working_rows, select_bandwidth,
+    MIN_SIZE as MIN_BANDWIDTH_SIZE, BandwidthSpec, _bandwidth_rows, _bandwidth_spec, _working_rows,
 )
-from .entropy import KDE_BLOCK_BYTES, _kde_entropy, de_kde, de_ml
-from .errors import DataError, DdeError, FitError, InvalidParameterError, UsageError, first_failures
-from .families import Family, FamilyId, FittedModel, _fit_rows, fit_mle, get_family
+from .entropy import KDE_BLOCK_BYTES, _kde_entropy
+from .errors import (
+    DataError, DdeError, FitError, InvalidParameterError, QuadratureError, UsageError,
+    first_failures, raise_row_failure,
+)
+from .families import Family, FamilyId, FittedModel, _fit_rows, get_family
 from .streams import _PrefixStreams
 
 DEFAULT_N_BOOT = 1000
@@ -100,33 +104,30 @@ class DdeResult:
         return self.boot.n_boot
 
 
-def dde_statistic(fitted: FittedModel, data, bw: BandwidthSpec) -> float:
-    """DE_ML(fitted) - DE_KDE(data; bw) in nats."""
-    return de_ml(fitted) - de_kde(data, bw, get_family(fitted.family).support)
+def _dde_rows(fam: Family, rows: np.ndarray):
+    """DDE of each row of a (rows, n) array under the null ``fam``: fit,
+    working scale, bandwidth, DE_ML and DE_KDE.
 
-
-def _dde_rows(fam: Family, fitted: FittedModel, rows: np.ndarray, theta_fixed: bool):
-    """Bootstrap DDE of each row of a (rows, n) array of draws from ``fitted``:
-    refit (unless ``theta_fixed``), working scale, bandwidth, DE_ML and DE_KDE.
-
-    Returns (values, failures), where failures holds the rows whose refit,
-    bandwidth or their data checks raised FitError or DataError.  A failed
-    row's value is NaN, and the row never reaches the KDE.
+    Returns (values, the fitted parameter columns, the bandwidth parts
+    (κ0, h, c, shape statistics), failures), where failures holds the rows
+    whose fit, bandwidth or their data checks raised FitError or DataError,
+    each error's ``stage`` set to "fit" or "bandwidth".  A failed row's
+    value is NaN, and the row never reaches the KDE.
     """
     with np.errstate(divide="ignore", invalid="ignore"):  # failed rows carry on as garbage
-        if theta_fixed:
-            theta, failures = fitted.theta, {}
-        else:
-            theta, failures = _fit_rows(fam.family_id, rows)
-        working, _, support_failures = _working_rows(fam.family_id, rows)
-        h, _, _, bw_failures = _bandwidth_rows(fam.family_id, fam.kurtosis(theta), working)
+        theta, fit_failures = _fit_rows(fam.family_id, rows)
+        working, working_failures = _working_rows(fam.family_id, rows)
+        kappa0 = fam.kurtosis(theta)
+        h, c, shape, bw_failures = _bandwidth_rows(fam.family_id, kappa0, working)
         ml = np.full(h.shape, fam.entropy(theta))
-    failures = first_failures(failures, support_failures, bw_failures)
+    failures = first_failures(fit_failures, working_failures, bw_failures)
+    for i, exc in failures.items():
+        exc.stage = "fit" if i in fit_failures else "bandwidth"
     ok = np.ones(h.shape, dtype=bool)
     ok[list(failures)] = False
     values = np.full(h.shape, np.nan)
     values[ok] = ml[ok] - _kde_entropy(working[ok], h[ok], fam.support)
-    return values, failures
+    return values, theta, (kappa0, h, c, shape), failures
 
 
 def _replicate_group(args) -> np.ndarray:
@@ -137,14 +138,14 @@ def _replicate_group(args) -> np.ndarray:
     (seed, "boot", r, a) and runs ``_dde_rows`` once over them; the rows
     that failed stay pending for the next attempt.
     """
-    fitted, n, seed, start, stop, theta_fixed = args
+    fitted, n, seed, start, stop = args
     fam = get_family(fitted.family)
     streams = _PrefixStreams(seed, "boot")
     out = np.full(stop - start, np.nan)
     pending = np.arange(start, stop)
     for attempt in range(_MAX_ATTEMPTS):
         rows = np.array([fam.sampler(fitted.theta, n, streams(r, attempt)) for r in pending])
-        values, failures = _dde_rows(fam, fitted, rows, theta_fixed)
+        values, _, _, failures = _dde_rows(fam, rows)
         out[pending - start] = values
         pending = pending[sorted(failures)]
         if not pending.size:
@@ -208,14 +209,13 @@ def bootstrap_null(
     seed: int,
     *,
     threads: int = 1,
-    theta_fixed: bool = False,
 ) -> BootstrapDistribution:
     """Bootstrap distribution of DDE under the fitted null.
 
-    Each replicate resamples n draws from ``fitted``, refits (unless the
-    hypothesis is simple, ``theta_fixed=True``), reselects the bandwidth with
-    the same rule, and recomputes both entropy estimates, in the groups of
-    replicates the module docstring describes.
+    Each replicate resamples n draws from ``fitted`` and computes their DDE
+    as ``run_test`` computes the data's: it refits, reselects the bandwidth
+    with the same rule and recomputes both entropy estimates, in the groups
+    of replicates the module docstring describes.
 
     Failure policy inside a replicate, by error class:
 
@@ -242,8 +242,7 @@ def bootstrap_null(
     group = max(1, KDE_BLOCK_BYTES // (8 * n))
     if threads > 1 and n_boot >= 8:
         group = min(group, math.ceil(n_boot / (threads * 4)))
-    tasks = [(fitted, n, seed, s, min(s + group, n_boot), theta_fixed)
-             for s in range(0, n_boot, group)]
+    tasks = [(fitted, n, seed, s, min(s + group, n_boot)) for s in range(0, n_boot, group)]
     values = np.concatenate(list(_ordered_map(_replicate_group, tasks, threads)))
     failed = int(np.count_nonzero(np.isnan(values)))
     if failed > _MAX_FAILURE_FRACTION * n_boot:
@@ -280,40 +279,39 @@ def run_test(
     n_boot: int = DEFAULT_N_BOOT,
     seed: int,
     threads: int = 1,
-    theta0: tuple[float, ...] | None = None,
 ) -> DdeResult:
     """Fit, compute the observed DDE, bootstrap the null, decide.
 
-    ``theta0`` switches to the simple hypothesis θ̂ = θ0: no fitting on the
-    data and no refitting inside the bootstrap.
+    One ``_dde_rows`` call on the data as a single row, the function every
+    bootstrap replicate computes, gives the observed DDE, the fitted null and
+    the bandwidth.  An error carries the stage it failed in: "fit",
+    "bandwidth", "entropy" (the observed KDE) or "bootstrap".
     """
     if not 0.0 < alpha < 1.0:
         raise UsageError(f"alpha must be in (0, 1), got {alpha}")
     fam = get_family(family)
     data = np.asarray(data, dtype=float)
-
-    def _staged(stage, fn, *args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except DdeError as exc:
-            if exc.stage is None:
-                exc.stage = stage
-            raise
-
-    if theta0 is not None:
-        fitted = FittedModel(fam.family_id, tuple(theta0), n_fit=int(data.size))
-    else:
-        fitted = _staged("fit", fit_mle, fam.family_id, data)
-    bw = _staged("bandwidth", select_bandwidth, fam.family_id, fitted, data)
-    observed = _staged("entropy", dde_statistic, fitted, data, bw)
-    boot = _staged(
-        "bootstrap", bootstrap_null, fitted, int(data.size), n_boot, seed,
-        threads=threads, theta_fixed=theta0 is not None,
-    )
+    if data.ndim != 1:
+        raise DataError("expected a one-dimensional sample", stage="fit")
+    n = int(data.size)
+    try:
+        values, theta, parts, failures = _dde_rows(fam, data[None, :])
+    except DdeError as exc:  # the KDE's, or the fit's refusal of the null or of n
+        exc.stage = "entropy" if isinstance(exc, QuadratureError) else "fit"
+        raise
+    raise_row_failure(failures)
+    observed = float(values[0])
+    fitted = FittedModel(fam.family_id, tuple(float(col[0]) for col in theta), n_fit=n)
+    bw = _bandwidth_spec(fam.family_id, n, *parts)
+    try:
+        boot = bootstrap_null(fitted, n, n_boot, seed, threads=threads)
+    except DdeError as exc:
+        exc.stage = exc.stage or "bootstrap"
+        raise
     p = p_value(observed, boot)
     lo, hi = critical_interval(boot, alpha)
     return DdeResult(
-        observed_dde=float(observed),
+        observed_dde=observed,
         fitted=fitted,
         bandwidth=bw,
         boot=boot,

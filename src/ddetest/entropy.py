@@ -15,8 +15,8 @@ Two estimators of -∫ f ln f dx (nats):
   bandwidths of the node's panel, since each one farther out adds less
   than e^(-C²/2) ≈ 2.6e-18.  ``_kde_entropy`` is the one KDE tail, for
   the rows of a (rows, n) working-scale array: the range rule, the fixed
-  rule and the ln-space shift.  ``de_kde`` is its one-row call; the
-  bootstrap calls it once per group of replicates.
+  rule and the ln-space shift.  ``de_kde`` is its one-row call; a test
+  calls it once on the data and once per group of bootstrap replicates.
 
 The bias formulas (``ml_entropy_bias``, ``kde_smoothing_bias``) are
 diagnostics only: the bootstrap calibration reproduces both biases on its

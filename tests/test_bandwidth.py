@@ -2,12 +2,17 @@ import numpy as np
 import pytest
 
 from ddetest import (
-    FamilyId, FittedModel, InvalidParameterError, classify_regime, fit_mle, run_test, sample,
-    select_bandwidth, shape_multiplier, small_sample_inflation, substream,
+    FamilyId, FittedModel, InvalidParameterError, fit_mle, sample, select_bandwidth,
+    shape_multiplier, small_sample_inflation, substream,
 )
 from ddetest.bandwidth import Regime, truncate_kurtosis
 from ddetest.errors import DataError, DegenerateDataError
 from ddetest.quadrature import Scale
+
+
+def _regime(null_family, data):
+    """The bandwidth regime of testing ``null_family`` on ``data``."""
+    return select_bandwidth(null_family, fit_mle(null_family, data), data).regime
 
 
 def _standardized_normal(n, tag):
@@ -48,18 +53,18 @@ def test_shape_multiplier_rule():
 
 def test_regime_classification():
     data = _standardized_normal(200, "regime")
-    assert classify_regime(FamilyId.NORMAL, data) is Regime.GAUSSIAN
-    assert classify_regime(FamilyId.NORMAL, data**3) is Regime.GAUSSIAN  # null decides
-    assert classify_regime(FamilyId.GAMMA, np.abs(data) + 0.1) is Regime.RIGHT_SKEWED_POSITIVE
+    assert _regime(FamilyId.NORMAL, data) is Regime.GAUSSIAN
+    assert _regime(FamilyId.NORMAL, data**3) is Regime.GAUSSIAN  # null decides
+    assert _regime(FamilyId.GAMMA, np.abs(data) + 0.1) is Regime.RIGHT_SKEWED_POSITIVE
     # near-Gaussian: real-line null, |skew| <= .5, kurtosis in [2, 4]
-    assert classify_regime(FamilyId.LAPLACE, data) is Regime.NEAR_GAUSSIAN
+    assert _regime(FamilyId.LAPLACE, data) is Regime.NEAR_GAUSSIAN
     heavy = np.concatenate([data, [18.0, -18.0]])
-    assert classify_regime(FamilyId.LAPLACE, heavy) is Regime.NON_GAUSSIAN_REAL
+    assert _regime(FamilyId.LAPLACE, heavy) is Regime.NON_GAUSSIAN_REAL
 
 
 def test_regime_needs_four_observations():
     with pytest.raises(DataError):
-        classify_regime(FamilyId.NORMAL, np.array([1.0, 2.0, 3.0]))
+        _regime(FamilyId.NORMAL, np.array([1.0, 2.0, 3.0]))
 
 
 def test_bandwidth_gaussian_rate_value():
@@ -105,7 +110,7 @@ def test_bootstrap_regime_stability_under_normal_null():
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     for r in range(20):
         x = sample(fitted, 60, substream("bw-regime", r))
-        assert classify_regime(FamilyId.NORMAL, x) is Regime.GAUSSIAN
+        assert _regime(FamilyId.NORMAL, x) is Regime.GAUSSIAN
 
 
 def test_bounds_on_c_and_k():
@@ -158,15 +163,11 @@ def test_degenerate_data_rejected():
 
 
 def test_missing_null_kurtosis_is_a_usage_error():
-    # weibull has no null-implied kurtosis (not a testable null): the rule
-    # refuses it, and a simple-hypothesis test reports that at stage bandwidth
+    # weibull has no null-implied kurtosis (not a testable null): the rule refuses it
     fitted = FittedModel(FamilyId.WEIBULL, (1.7915, 3.3727))
     data = sample(fitted, 120, substream("bw-fallback"))
     with pytest.raises(InvalidParameterError, match="no null-implied kurtosis"):
         select_bandwidth(FamilyId.WEIBULL, fitted, data)
-    with pytest.raises(InvalidParameterError) as exc:
-        run_test(FamilyId.WEIBULL, data, n_boot=10, seed=1, theta0=fitted.theta)
-    assert exc.value.stage == "bandwidth" and exc.value.exit_code == 2
 
 
 def test_unrelated_kurtosis_error_propagates(monkeypatch):
@@ -184,12 +185,12 @@ def test_unrelated_kurtosis_error_propagates(monkeypatch):
 
 
 def test_sample_shape_matches_central_moments():
-    from ddetest.bandwidth import _sample_shape
+    from ddetest.bandwidth import _shape_rows
 
     x = substream("bw-shape").gamma(2.0, 3.0, 500)
     d = x - x.mean()
     m2, m3, m4 = (np.mean(d ** k) for k in (2, 3, 4))
-    sigma, skew, kurt = _sample_shape(x)
+    (sigma,), (skew,), (kurt,) = _shape_rows(x[None, :])[0]
     assert sigma == pytest.approx(np.sqrt(m2), rel=1e-14)
     assert skew == pytest.approx(m3 / m2 ** 1.5, rel=1e-13)
     assert kurt == pytest.approx(m4 / m2 ** 2, rel=1e-13)
@@ -201,7 +202,7 @@ def test_non_finite_working_variance_is_a_data_error():
     with pytest.raises(DataError, match="not finite"):
         select_bandwidth(FamilyId.LAPLACE, fitted, data)
     with pytest.raises(DataError, match="not finite"):
-        classify_regime(FamilyId.LAPLACE, data)
+        _regime(FamilyId.LAPLACE, data)
 
 
 @pytest.mark.parametrize("family", [FamilyId.NORMAL, FamilyId.LAPLACE])

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddetest import (
-    FamilyId, FittedModel, bootstrap_null, critical_interval, dde_statistic,
-    de_kde, de_ml, fit_mle, p_value, run_test, sample, select_bandwidth, substream,
+    FamilyId, FittedModel, bootstrap_null, critical_interval, de_kde, de_ml, fit_mle,
+    get_family, load_dataset, p_value, run_test, sample, select_bandwidth, substream,
 )
 from ddetest.dde import BootstrapDistribution, resolve_threads
-from ddetest.errors import DataError, DegenerateDataError, FitError, QuadratureError, UsageError
-from ddetest.families import Support
+from ddetest.errors import (
+    DataError, DegenerateDataError, FitError, QuadratureError, SupportError, UsageError,
+)
 
 
 def _boot(values, seed=0):
@@ -101,19 +102,16 @@ def test_critical_interval_alpha_validation():
 # statistic and bootstrap
 # --------------------------------------------------------------------------
 
-def test_dde_statistic_is_the_entropy_gap():
-    data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 120, substream("gap"))
-    fitted = fit_mle(FamilyId.NORMAL, data)
-    bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    expected = de_ml(fitted) - de_kde(data, bw, Support.REAL)
-    assert dde_statistic(fitted, data, bw) == pytest.approx(expected, abs=1e-14)
+def _dde(fitted, data, bw):
+    """DE_ML - DE_KDE from the one-row API."""
+    return de_ml(fitted) - de_kde(data, bw, get_family(fitted.family).support)
 
 
 def test_dde_small_under_true_null_large_sample():
     data = substream("dde-null").normal(0.0, 1.0, 10_000)
     fitted = fit_mle(FamilyId.NORMAL, data)
     bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    assert abs(dde_statistic(fitted, data, bw)) < 0.05
+    assert abs(_dde(fitted, data, bw)) < 0.05
 
 
 def test_dde_diverges_for_cauchy_against_normal_null():
@@ -123,7 +121,7 @@ def test_dde_diverges_for_cauchy_against_normal_null():
         data = sample(FittedModel(FamilyId.CAUCHY, (0.0, 1.0)), 500, substream("dde-div", r))
         fitted = fit_mle(FamilyId.NORMAL, data)
         bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-        assert abs(dde_statistic(fitted, data, bw)) > 0.2
+        assert abs(_dde(fitted, data, bw)) > 0.2
 
 
 def test_bootstrap_single_replicate_deterministic():
@@ -157,7 +155,7 @@ def test_bootstrap_mean_matches_independent_simulation_oracle():
         x = sample(fitted, 100, substream("oracle-gap", r))
         refit = fit_mle(FamilyId.EXPONENTIAL, x)
         bw = select_bandwidth(FamilyId.EXPONENTIAL, refit, x)
-        direct[r] = dde_statistic(refit, x, bw)
+        direct[r] = _dde(refit, x, bw)
     se = math.hypot(boot.values.std(ddof=1) / math.sqrt(boot.values.size),
                     direct.std(ddof=1) / math.sqrt(reps))
     assert abs(boot.mean - direct.mean()) < 3.0 * se
@@ -189,7 +187,7 @@ def _replayed(fitted, n, seed, r, poisoned=()):
             bw = select_bandwidth(fitted.family, refit, x)
         except (FitError, DataError):
             continue
-        return dde_statistic(refit, x, bw)
+        return _dde(refit, x, bw)
     return math.nan
 
 
@@ -242,7 +240,7 @@ def test_replicate_retries_use_fresh_substreams(monkeypatch):
     monkeypatch.undo()
     x = _draw(fitted, 50, 4, 0, 2)
     refit = fit_mle(FamilyId.NORMAL, x)
-    assert boot.values[0] == dde_statistic(refit, x, select_bandwidth(FamilyId.NORMAL, refit, x))
+    assert boot.values[0] == _dde(refit, x, select_bandwidth(FamilyId.NORMAL, refit, x))
 
 
 def test_bootstrap_aborts_when_failures_exceed_tolerance(monkeypatch):
@@ -317,7 +315,12 @@ def test_quadrature_error_aborts_the_bootstrap(monkeypatch):
     # a non-finite KDE entropy is not retried: the bootstrap stops with it
     import ddetest.dde as dde_mod
 
-    def broken(*args):
+    real, calls = dde_mod._kde_entropy, []
+
+    def broken(*args):  # the observed statistic's KDE passes, every later one fails
+        calls.append(1)
+        if len(calls) == 1:
+            return real(*args)
         raise QuadratureError("KDE entropy integrand is not finite inside the range")
 
     monkeypatch.setattr(dde_mod, "_kde_entropy", broken)
@@ -337,7 +340,7 @@ def test_bootstrap_values_byte_identical_across_threads(model):
 
 @pytest.mark.parametrize("model", _NULL_MODELS)
 def test_bootstrap_value_is_the_observed_statistic_of_its_sample(model, monkeypatch):
-    # a replicate's batched DDE equals dde_statistic on the same draw, also
+    # a replicate's batched DDE equals the one-row API on the same draw, also
     # for replicate 1, whose first draw is made to fail
     poisoned = {(1, 0)}
     _poison_fits(monkeypatch, model, 60, 5, 4, poisoned, _raise_fit_error)
@@ -402,6 +405,75 @@ def test_run_test_thread_count_invariance():
     b = run_test(FamilyId.EXPONENTIAL, data, n_boot=64, seed=3, threads=4)
     assert a.p_value == b.p_value
     assert np.array_equal(a.boot.values, b.boot.values)
+
+
+@pytest.mark.parametrize("model", _NULL_MODELS, ids=lambda m: m.family.value)
+def test_one_row_api_agrees_with_run_test(model):
+    # the fit, the bandwidth and the observed DDE of a test are, bit for bit,
+    # what fit_mle, select_bandwidth, de_ml and de_kde give on the same data
+    fid = model.family
+    samples = [load_dataset("faithful-hardle").values]
+    samples += [sample(model, 60 + 70 * k, substream("one-row", k)) for k in range(3)]
+    for data in samples:
+        res = run_test(fid, data, n_boot=1, seed=1)
+        fitted = fit_mle(fid, data)
+        bw = select_bandwidth(fid, fitted, data)
+        assert res.fitted == fitted
+        assert res.bandwidth == bw
+        assert res.observed_dde == _dde(fitted, data, bw)
+
+
+def _faithful(scale):
+    return load_dataset("faithful-hardle").values * scale
+
+
+def _kde_fails(monkeypatch):
+    import ddetest.dde as dde_mod
+    import ddetest.entropy as entropy_mod
+
+    def broken(*args):
+        raise QuadratureError("KDE entropy integrand is not finite inside the range")
+
+    for mod in (dde_mod, entropy_mod):
+        monkeypatch.setattr(mod, "_kde_entropy", broken)
+    return _faithful(1.0)
+
+
+_OBSERVED_FAILURES = [  # (null, data, error class, stage, exit code, message)
+    (FamilyId.NORMAL, lambda mp: np.r_[_faithful(1.0), np.nan], DataError, "fit", 3,
+     "non-finite values"),
+    (FamilyId.GAMMA, lambda mp: np.r_[_faithful(1.0), 0.0], SupportError, "fit", 3,
+     "positive support"),
+    (FamilyId.NORMAL, lambda mp: np.full(50, 2.5), DegenerateDataError, "fit", 3,
+     "all observations are identical"),
+    (FamilyId.GENGAMMA, lambda mp: np.array([1.0, 2.0, 3.5]), DataError, "fit", 3,
+     "fit needs at least 4"),
+    (FamilyId.EXPONENTIAL, lambda mp: np.array([1.0, 2.0, 3.5]), DataError, "bandwidth", 3,
+     "bandwidth selection needs at least 4"),
+    (FamilyId.NORMAL, lambda mp: np.ones((10, 10)), DataError, "fit", 3,
+     "one-dimensional"),
+    (FamilyId.GENGAMMA, lambda mp: substream("gg-bound").lognormal(0.0, 1.0, 300), FitError,
+     "fit", 4, r"bound p = 0\.05"),
+    (FamilyId.NORMAL, lambda mp: _faithful(1e200), DataError, "fit", 3,
+     "variance is not finite"),
+    (FamilyId.LAPLACE, lambda mp: _faithful(1e200), DataError, "bandwidth", 3,
+     "variance on the working scale is not finite"),
+    (FamilyId.NORMAL, lambda mp: _faithful(1e-200), DegenerateDataError, "fit", 3,
+     "zero variance"),
+    (FamilyId.WEIBULL, lambda mp: _faithful(1.0), FitError, "fit", 4,
+     "not a testable null"),
+    (FamilyId.NORMAL, _kde_fails, QuadratureError, "entropy", 5,
+     "not finite inside the range"),
+]
+
+
+@pytest.mark.parametrize("family, make, cls, stage, code, message", _OBSERVED_FAILURES)
+def test_observed_stage_error_contract(monkeypatch, family, make, cls, stage, code, message):
+    data = make(monkeypatch)
+    with pytest.raises(cls, match=message) as info:
+        run_test(family, data, n_boot=10, seed=1)
+    assert type(info.value) is cls
+    assert (info.value.stage, info.value.exit_code) == (stage, code)
 
 
 # --------------------------------------------------------------------------
@@ -472,14 +544,6 @@ def test_exponential_null_scale_equivariant_p_values():
     for c in (0.5, 2.0):
         scaled = run_test(FamilyId.EXPONENTIAL, c * data, n_boot=150, seed=21)
         assert scaled.p_value == base.p_value
-
-
-def test_simple_hypothesis_mode():
-    # theta0 fixes the null completely: no refits inside the bootstrap
-    data = sample(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), 80, substream("rt", 5))
-    res = run_test(FamilyId.NORMAL, data, n_boot=100, seed=8, theta0=(0.0, 1.0))
-    assert res.fitted.theta == (0.0, 1.0)
-    assert 0.0 < res.p_value <= 1.0
 
 
 def test_power_nondecreasing_in_n_under_fixed_wrong_null():
