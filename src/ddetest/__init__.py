@@ -13,7 +13,7 @@ from .dde import (
     run_test,
 )
 from .datasets import Dataset, load_dataset
-from .entropy import de_kde, de_ml, kde_pdf, kde_smoothing_bias, ml_entropy_bias
+from .entropy import de_kde, de_ml, kde_smoothing_bias, ml_entropy_bias
 from .errors import (
     DataError, DdeError, DegenerateDataError, FitError, InvalidParameterError,
     NumericError, QuadratureError, SupportError, UsageError,
@@ -39,7 +39,7 @@ __all__ = [
     "ShapeStats", "SimCell", "SimReport", "Support", "SupportError",
     "TESTABLE_NULLS", "UsageError", "bootstrap_null", "closed_form_entropy",
     "critical_interval", "de_kde", "de_ml",
-    "dgp_moments", "entropy_range", "fit_mle", "get_family", "kde_pdf",
+    "dgp_moments", "entropy_range", "fit_mle", "get_family",
     "kde_smoothing_bias", "load_dataset", "log_pdf", "mean_log_likelihood",
     "ml_entropy_bias", "null_kurtosis", "p_value", "run_test", "run_experiment",
     "sample", "select_bandwidth", "shape_multiplier", "small_sample_inflation",

@@ -10,11 +10,12 @@ Two estimators of -∫ f ln f dx (nats):
   which is exact by change of variables.  The integral -∫_R f̂ ln f̂ is a
   fixed rule, not an adaptive one: 10-point Gauss–Legendre on ⌈W/2h⌉
   equal panels of R (``_kde_entropy_rows``), within 1e-9 of the adaptive
-  integral at tol 1e-12 on the testable nulls.  The kernel sum at a node
-  runs over a window of the sorted sample: the samples within C = 9
-  bandwidths of the node's panel, since each one farther out adds less
-  than e^(-C²/2) ≈ 2.6e-18.  ``_kde_entropy`` is the one KDE tail, for
-  the rows of a (rows, n) working-scale array: the range rule, the fixed
+  integral at tol 1e-12 on the testable nulls.  A node's kernel sum takes
+  the samples within C = 9 bandwidths of its panel (each one farther out
+  adds less than e^(-C²/2) ≈ 2.6e-18) and, by an exact factoring of the
+  kernel, shares its exps with the nodes of 16 or 8 neighbouring panels.
+  ``_kde_entropy`` is the one KDE tail, for the rows of a (rows, n)
+  working-scale array: the range rule, the fixed
   rule and the ln-space shift.  ``de_kde`` is its one-row call; a test
   calls it once on the data and once per group of bootstrap replicates.
 
@@ -65,20 +66,6 @@ def de_ml(fitted: FittedModel) -> float:
 # kernel plug-in
 # --------------------------------------------------------------------------
 
-def kde_pdf(data, h: float, x):
-    """Gaussian-kernel density estimate (nh)^-1 Σ K((x - x_i)/h)."""
-    if h <= 0.0:
-        raise InvalidParameterError(f"bandwidth must be > 0, got {h}")
-    data = np.asarray(data, dtype=float)
-    if data.size == 0:
-        raise InvalidParameterError("kde_pdf needs a nonempty sample")
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 0
-    z = (pts.reshape(-1, 1) - data[None, :]) / h
-    out = np.exp(-0.5 * z * z).sum(axis=1) / (data.size * h * _SQRT_2PI)
-    return float(out[0]) if scalar else out.reshape(np.shape(x))
-
-
 # The KDE entropy rule: 10-point Gauss–Legendre nodes and weights on
 # [-1, 1], on panels at most _PANEL_BANDWIDTHS bandwidths wide.  Against an
 # adaptive integral at tol 1e-12 its error stayed below 1e-9 on the
@@ -92,12 +79,13 @@ _CUTOFF_BANDWIDTHS = 9.0
 # Window lengths are rounded up to ⌈2^(i/4)⌉, from 16, so that the panels of
 # a group fall into few lengths.
 _WINDOW_LENGTHS = np.unique(np.ceil(2.0 ** (np.arange(16, 4 * 48) / 4.0))).astype(np.intp)
+# Panels per block at n ≤ 2000 and above, samples per window chunk, clip on x - c_r
+_KDE_BLOCK_PANELS, _KDE_CHUNK, _KDE_CLIP_BANDWIDTHS = (16, 8), 4096, 60.0
+# per block size: 2 (j - r) for slot j, r = slots // 2, and -(2 (j - r) t_k + t_k²/2), t_k node k
+_KDE_OFFSETS = {s: 2.0 * (np.arange(s) - s // 2) for s in _KDE_BLOCK_PANELS}
+_KDE_SHIFTS = {s: -o[:, None] * _GL_NODES - 0.5 * _GL_NODES**2 for s, o in _KDE_OFFSETS.items()}
 # cap on the kernel block, and on the rows a caller batches
 KDE_BLOCK_BYTES = 1 << 20
-
-
-def _nonfinite_kde() -> QuadratureError:
-    return QuadratureError("KDE entropy integrand is not finite inside the range")
 
 
 def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
@@ -107,101 +95,112 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     ``work`` is a (rows, n) array of working-scale samples and f̂_r the
     Gaussian KDE of row r with bandwidth h[r].  Each range is cut into
     ⌈W/2h⌉ equal panels, each integrated by the 10-point Gauss–Legendre
-    rule.  The kernel sum at a node runs over a window of the sorted row:
-    the samples binned into the panels within C = 9 bandwidths of the node's
-    panel (samples outside the range count in the edge panels), its length
-    rounded up the ladder ⌈2^(i/4)⌉ ≥ 16 and capped at n, its start moved
-    left where it would run past the row's end.  The 10 nodes of a panel
-    share its window; panels of one window length are evaluated together in
-    (panels, 10, length) blocks.  One scratch buffer of ``KDE_BLOCK_BYTES``
-    (or one 10 x n panel, if larger) holds the bins and the blocks.  Every
-    reduction runs along one window, row or panel (no BLAS), and each
-    window depends on its row only, so a row's value is bit-identical
-    whether it is evaluated alone or with any other rows.
+    rule.  In bandwidth units node k of panel j sits at c_j + δ_k.  Panels
+    form blocks of S = 16 (8 at n > 2000); with r a block's middle panel,
+    e^(-(c_j + δ_k - x)²/2) = G_j(x) E_k(x) e^(-δ_k (c_j - c_r) - δ_k²/2)
+    exactly, for G_j = e^(-(c_j - x)²/2) and E_k = e^(-δ_k (c_r - x)).  So
+    a block's 10 S kernel sums are one (S, L) @ (L, 10) product G E over its
+    window of L samples, times the last factor: S + 10 exps per sample, not
+    10 S.  Both take x - c_r clipped to ±60: a sample that far out has
+    |c_j - x| ≥ 44, so its G is exactly 0, as is its term, and E cannot
+    overflow.  The window holds the sorted row's samples binned into the
+    panels within C = 9 bandwidths of the block (samples outside the range
+    count in the edge panels), its length rounded up the ladder ⌈2^(i/4)⌉ ≥
+    16 and capped at n, its start moved left where it would run past the
+    row's end.  Blocks of one window length are stacked, their windows cut
+    into chunks of _KDE_CHUNK samples whose products are added in order, in
+    one scratch buffer of ``KDE_BLOCK_BYTES`` (or one block's chunk, or one
+    row, if larger).  A product's rounding depends on its shape only, and
+    each shape and window on its row only, so a row's value is bit-identical
+    alone or with any other rows, under any buffer size and BLAS threads.
 
-    Each sample a window leaves out adds a term below e^(-C²/2) to the
-    kernel sum, so in units of the bandwidth the density g = h f̂ falls
-    short by at most η = e^(-C²/2)/√(2π) ≈ 1.0e-18 at any node.  The
-    integral is ∫ (-g ln g + g ln h) du over W/h bandwidths, so the cutoff
-    moves it by at most (W/h) η (ln(1/η) + |ln h|), about 4.3e-17 W/h for h
-    near 1: 2.2e-15 at n = 20 000 (W/h ≈ 52).  Summing in sorted order also
-    changes the rounding; the value stays within
-    (W/h) (η (ln(1/η) + |ln h|) + ε) of the full kernel sum, ε the double
-    precision epsilon.
+    Each sample a window leaves out adds below e^(-C²/2) to the kernel sum,
+    so g = h f̂ falls short by at most η = e^(-C²/2)/√(2π) ≈ 1.0e-18, and
+    ∫ (-g ln g + g ln h) du over W/h bandwidths moves by at most (W/h) η
+    (ln(1/η) + |ln h|): 4.3e-17 W/h at h near 1, 2.2e-15 at n = 20 000.
+    With the rounding of the factors and the sums, the value is within
+    (W/h) (η (ln(1/η) + |ln h|) + ε) of the full kernel sum, ε = 2^-52.
     """
     rows, n = work.shape
     if rows == 0:
         return np.zeros(0)
+    nodes, slots = _GL_NODES.size, _KDE_BLOCK_PANELS[n > 2000]
     width = upper - lower
     panels = np.ceil(width / (_PANEL_BANDWIDTHS * h)).astype(np.intp)
     half = width / (2.0 * panels)
-    panel_row = np.repeat(np.arange(rows), panels)
-    panel_half = half[panel_row]
-    end = np.cumsum(panels)
-    first = end - panels
-    row_first = first[panel_row]
-    local = np.arange(panel_row.size) - row_first
-    centre = lower[panel_row] + (2.0 * local + 1.0) * panel_half
-    # nodes and samples in units of their row's bandwidth, samples sorted
-    nodes = (centre[:, None] + panel_half[:, None] * _GL_NODES) / h[panel_row, None]
+    first, blocks = panels.cumsum() - panels, (panels + slots - 1) // slots
+    block_row, block_end = np.arange(rows).repeat(blocks), blocks.cumsum()
+    local = (np.arange(block_row.size) - (block_end - blocks)[block_row]) * slots
+    # in bandwidths: block centres c_r, offsets c_j - c_r = 2 (j - r) half/h and δ_k, samples
+    half_h, offsets, shifts = half / h, _KDE_OFFSETS[slots], _KDE_SHIFTS[slots]
+    scale = half_h[block_row, None, None]
+    ref = (lower[block_row] + (2.0 * (local + slots // 2) + 1.0) * half[block_row]) / h[block_row]
+    rel, delta = scale * offsets[:, None], scale * _GL_NODES[:, None]
     scaled = work / h[:, None]
     scaled.sort(axis=1)
-    if not (np.isfinite(scaled[:, 0]).all() and np.isfinite(scaled[:, -1]).all()):
-        raise _nonfinite_kde()
-    panel_floats = _GL_NODES.size * n
-    buf = np.empty(panel_floats * max(1, min(KDE_BLOCK_BYTES // (8 * panel_floats),
-                                             panel_row.size)))
+    if not np.isfinite(scaled[:, ::max(n - 1, 1)]).all():  # the first and last samples
+        raise QuadratureError("KDE entropy integrand is not finite inside the range")
+    chunk = min(_KDE_CHUNK, n)
+    unit = chunk * (slots + nodes + 1) + slots * nodes  # one block's chunk scratch
+    buf = np.empty(max(n, unit * max(1, min(KDE_BLOCK_BYTES // (8 * unit), block_row.size))))
 
-    # offset[first_r + j] - r n samples of sorted row r lie before its panel j
-    per_h = h / (2.0 * half)  # panels per bandwidth
-    origin, last = lower / h, panels - 1
-    offset = np.zeros(panel_row.size + 1, np.intp)
-    step = buf.size // n
-    for a in range(0, rows, step):
-        b = min(a + step, rows)
+    # a block's window: the samples of its panels and k more each side, k = ⌈C / width⌉;
+    # edge holds its first and past-the-end panels' global indexes, then the samples before each
+    origin, per_h = lower / h, 0.5 / half_h  # panels per bandwidth
+    reach = np.ceil(_CUTOFF_BANDWIDTHS * per_h).astype(np.intp)[block_row]
+    row_first, row_panels = first[block_row], panels[block_row]
+    edge = row_first + np.array([np.maximum(local - reach, 0),
+                                 np.minimum(local + slots + reach, row_panels)])
+    for a in range(0, rows, buf.size // n):
+        b = min(a + buf.size // n, rows)
         bins = buf[:(b - a) * n].reshape(b - a, n)
         np.subtract(scaled[a:b], origin[a:b, None], out=bins)
         bins *= per_h[a:b, None]
-        np.clip(bins, 0.0, last[a:b, None], out=bins)
+        np.maximum(bins, 0.0, out=bins)
+        np.minimum(bins, panels[a:b, None] - 1, out=bins)
         bins += (first[a:b] - first[a])[:, None]
-        # the bins ascend along the chunk: count those below each panel's end
-        offset[first[a] + 1:end[b - 1] + 1] = a * n + np.searchsorted(
-            bins.ravel(), np.arange(1, end[b - 1] - first[a] + 1))
-    # panel j's window: the samples of panels j - k .. j + k, k = ⌈C / width⌉
-    reach = np.ceil(_CUTOFF_BANDWIDTHS * per_h).astype(np.intp)[panel_row]
-    start = offset[row_first + np.maximum(local - reach, 0)]
-    stop = offset[row_first + np.minimum(local + reach + 1, panels[panel_row])]
-    size = np.minimum(_WINDOW_LENGTHS[np.searchsorted(_WINDOW_LENGTHS, stop - start)], n)
-    start = np.minimum(start, (panel_row + 1) * n - size)
+        # the bins ascend along the chunk: count those below each edge
+        chunk_edge = edge[:, block_end[a] - blocks[a]:block_end[b - 1]]
+        chunk_edge[...] = a * n + bins.ravel().searchsorted(chunk_edge - first[a])
+    start, stop = edge
+    size = np.minimum(_WINDOW_LENGTHS[_WINDOW_LENGTHS.searchsorted(stop - start)], n)
+    start = np.minimum(start, (block_row + 1) * n - size)[:, None]
 
-    order = np.argsort(size, kind="stable")
-    size, start, nodes = size[order], start[order], nodes[order]
-    runs = [0] + (np.flatnonzero(size[1:] != size[:-1]) + 1).tolist()  # each length's first
-    flat, span = scaled.ravel(), np.arange(n)
-    kernel = np.empty_like(nodes)
-    for a, b in zip(runs, runs[1:] + [order.size]):
-        length = int(size[a])
-        per_block = buf.size // (_GL_NODES.size * length)
-        for s in range(a, b, per_block):
-            e = min(s + per_block, b)
-            z = buf[:(e - s) * _GL_NODES.size * length].reshape(e - s, _GL_NODES.size, length)
-            z[...] = flat[start[s:e, None] + span[:length]][:, None, :]
-            z -= nodes[s:e, :, None]
-            z *= z
-            z *= -0.5
-            np.exp(z, out=z)
-            np.add.reduce(z, axis=2, out=kernel[s:e])
-    density = np.empty_like(kernel)
-    density[order] = kernel
-    density *= (1.0 / (n * _SQRT_2PI * h))[panel_row, None]
-    integrand = np.zeros_like(density)  # -f ln f, 0 where f = 0
-    np.log(density, out=integrand, where=density > 0.0)
-    integrand *= density
-    np.negative(integrand, out=integrand)
-    panel_value = (integrand * _GL_WEIGHTS).sum(axis=1) * panel_half
-    values = np.bincount(panel_row, weights=panel_value, minlength=rows)
-    if not np.all(np.isfinite(values)):
-        raise _nonfinite_kde()
+    flat = scaled.ravel()
+    density = np.zeros((block_row.size, slots, nodes))  # the kernel sums G E
+    for length in sorted(set(size.tolist())):
+        group = (size == length).nonzero()[0]
+        for s in range(0, group.size, buf.size // unit):
+            pick = group[s:s + buf.size // unit]
+            m, c, r, d = pick.size, rel[pick], ref[pick, None], delta[pick]
+            for c0 in range(0, length, chunk):
+                k = min(chunk, length - c0)
+                x = buf[:m * k].reshape(m, k)
+                g = buf[m * k:m * k * (slots + 1)].reshape(m, slots, k)
+                ex = buf[m * k * (slots + 1):m * k * (slots + nodes + 1)].reshape(m, nodes, k)
+                flat.take(start[pick] + np.arange(c0, c0 + k), out=x, mode="clip")
+                np.subtract(x, r, out=x)
+                np.maximum(x, -_KDE_CLIP_BANDWIDTHS, out=x)
+                np.minimum(x, _KDE_CLIP_BANDWIDTHS, out=x)
+                np.subtract(c, x[:, None, :], out=g)  # G
+                g *= g
+                g *= -0.5
+                np.exp(g, out=g)
+                np.multiply(d, x[:, None, :], out=ex)  # E
+                np.exp(ex, out=ex)
+                part = buf[-m * slots * nodes:].reshape(m, slots, nodes)
+                density[pick] += np.matmul(g, ex.transpose(0, 2, 1), out=part)
+    # times e^(-δ_k (c_j - c_r) - δ_k²/2) and the kernel's 1/(n √(2π) h)
+    factor = np.exp(scale ** 2 * shifts)
+    density *= factor * (1.0 / (n * _SQRT_2PI * h))[block_row, None, None]
+    # f ln f: where f = 0 the factor, finite, is kept and multiplied by 0
+    integrand = np.log(density, out=factor, where=density > 0.0)
+    integrand *= density * -_GL_WEIGHTS
+    valid = np.arange(slots) < (row_panels - local)[:, None]  # not past a row's last panel
+    panel_value = np.add.reduce(integrand, axis=2) * valid
+    values = np.bincount(block_row, np.add.reduce(panel_value, axis=1) * half[block_row], rows)
+    if not np.isfinite(values).all():
+        raise QuadratureError("KDE entropy integrand is not finite inside the range")
     return values
 
 

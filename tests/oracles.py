@@ -4,7 +4,8 @@
 (``scipy.integrate.quad``, Piessens et al. 1983) over the tests' vectorized
 integrands.  ``_de_ml_quadrature`` integrates a fitted model's own density:
 the oracle the closed-form entropies are checked against, over a range that
-``WORKING_MOMENTS`` places.
+``WORKING_MOMENTS`` places.  ``kde_pdf`` is the Gaussian KDE summed over
+every sample.
 """
 from __future__ import annotations
 
@@ -34,6 +35,20 @@ def integrate(f, rng: IntegrationRange, tol: float, edges=None) -> float:
     value, _ = quad(lambda x: f(np.array([x]))[0], rng.lower, rng.upper,
                     epsabs=tol, epsrel=0.0, limit=4000, points=points)
     return value
+
+
+def kde_pdf(data, h: float, x):
+    """Gaussian-kernel density estimate (nh)^-1 Σ K((x - x_i)/h)."""
+    if h <= 0.0:
+        raise InvalidParameterError(f"bandwidth must be > 0, got {h}")
+    data = np.asarray(data, dtype=float)
+    if data.size == 0:
+        raise InvalidParameterError("kde_pdf needs a nonempty sample")
+    pts = np.asarray(x, dtype=float)
+    scalar = pts.ndim == 0
+    z = (pts.reshape(-1, 1) - data[None, :]) / h
+    out = np.exp(-0.5 * z * z).sum(axis=1) / (data.size * h * math.sqrt(2.0 * math.pi))
+    return float(out[0]) if scalar else out.reshape(np.shape(x))
 
 
 def _working_normal(th):

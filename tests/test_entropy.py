@@ -1,13 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.special import digamma, xlogy
 
 from ddetest import (
-    FamilyId, FittedModel, de_kde, de_ml, fit_mle, kde_pdf, kde_smoothing_bias,
-    ml_entropy_bias, sample, select_bandwidth, substream,
+    FamilyId, FittedModel, de_kde, de_ml, fit_mle, kde_smoothing_bias, ml_entropy_bias,
+    sample, select_bandwidth, substream,
 )
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
@@ -18,7 +22,7 @@ from ddetest.errors import InvalidParameterError, QuadratureError
 from ddetest.families import Support, get_family
 from ddetest.quadrature import IntegrationRange, Scale, entropy_range, range_bounds
 
-from oracles import DEFAULT_TOL, _de_ml_quadrature, integrate
+from oracles import DEFAULT_TOL, _de_ml_quadrature, integrate, kde_pdf
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
 
@@ -227,6 +231,47 @@ def test_kde_rows_bit_identical_across_kernel_blocks_mixed_windows(monkeypatch):
         assert _kde_entropy_rows(work, h, lower, upper).tobytes() == full.tobytes()
 
 
+def test_kde_rows_bit_identical_across_blas_threads():
+    # each block's node sums are small matrix products; one and two BLAS
+    # threads must give the same bytes
+    import ddetest
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ddetest.__file__)))
+    script = (
+        "import sys\n"
+        "from ddetest.entropy import _kde_entropy_rows\n"
+        "from test_entropy import _kde_rows_case, _window_case_ln20000\n"
+        "rows = _kde_entropy_rows(*_kde_rows_case(3000, 1))\n"
+        "big = _kde_entropy_rows(*_window_case_ln20000())\n"
+        "sys.stdout.write((rows.tobytes() + big.tobytes()).hex())\n"
+    )
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.path.dirname(__file__)])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1] != ""
+
+
+@pytest.mark.parametrize("rows,n,limit", [(6, 20_000, 3.08e6), (1, 100, 0.17e6)])
+def test_kde_rows_scratch_memory(rows, n, limit):
+    # the kernel's scratch lives in one buffer of at most KDE_BLOCK_BYTES (or
+    # one block's chunk, or one row), and its other arrays are per block
+    work = substream("kde-memory", rows, n).normal(0.0, 1.0, (rows, n))
+    h = np.full(rows, 1.06 * n ** -0.2)
+    lower, upper = range_bounds(work, h)
+    tracemalloc.start()
+    try:
+        _kde_entropy_rows(work, h, lower, upper)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit
+
+
 def _dense_kde_entropy_rows(work, h, lower, upper):
     """The fixed rule with every kernel summed at every node: the same nodes
     and weights as ``_kde_entropy_rows``, no window."""
@@ -295,9 +340,28 @@ def _window_case_n5():
     return _kde_rows_case(5, 2)
 
 
+def _window_case_far_outliers():
+    # samples 1e6 bandwidths beyond each end of the range fall in the edge
+    # bins, so they share the window of the tail block
+    rng = substream("kde-window", "far-outliers")
+    work, h = rng.normal(0.0, 1.0, (2, 3000)), np.array([0.2, 0.05])
+    lower, upper = range_bounds(work, h)
+    work[:, 0], work[:, 1] = lower - 1e6 * h, upper + 1e6 * h
+    return work, h, lower, upper
+
+
+def _window_case_wide():
+    # a range of 1e4 bandwidths: hundreds of blocks, whose ladder-rounded
+    # windows in the sparse tails reach samples thousands of bandwidths away
+    work = substream("kde-window", "wide").standard_cauchy((1, 1000))
+    q_low, q_high = np.quantile(work, [0.001, 0.999], axis=1)
+    h = (q_high - q_low) / (1e4 - 10.0)
+    return (work, h) + range_bounds(work, h)
+
+
 @pytest.mark.parametrize("case", [
     _window_case_ln20000, _window_case_outliers, _window_case_cauchy, _window_case_ties,
-    _window_case_n5,
+    _window_case_n5, _window_case_far_outliers, _window_case_wide,
 ])
 def test_kde_rows_match_dense_oracle(case):
     work, h, lower, upper = case()
