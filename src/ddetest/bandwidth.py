@@ -179,12 +179,9 @@ def _bandwidth_spec(null_family: FamilyId, n: int, kappa0, h, c, shape) -> Bandw
                          shape=stats, regime=_regime(fam.family_id, (sigma, skew, kurt)))
 
 
-def select_bandwidth(
-    null_family: FamilyId | str,
-    fitted: FittedModel,
-    data,
-) -> BandwidthSpec:
-    """Assemble the full bandwidth for testing ``null_family`` on ``data``.
+def select_bandwidth(fitted: FittedModel, data) -> BandwidthSpec:
+    """Assemble the full bandwidth for testing ``fitted``'s null family on
+    ``data``.
 
     The identical rule is applied to bootstrap samples (with the bootstrap
     refit supplying κ0), so the smoothing regime is anchored to the null in
@@ -192,7 +189,7 @@ def select_bandwidth(
     ``_bandwidth_rows``.  A family without a null-implied kurtosis (not a
     testable null) raises InvalidParameterError.
     """
-    fam = get_family(null_family)
+    fam = get_family(fitted.family)
     data = np.asarray(data, dtype=float).reshape(1, -1)
     working, failures = _working_rows(fam.family_id, data)
     raise_row_failure(failures)

@@ -13,17 +13,19 @@ import os
 import sys
 from datetime import datetime, timezone
 
+import numpy as np
+
 from . import __version__
 from .bandwidth import select_bandwidth
 from .dde import DEFAULT_ALPHA, DEFAULT_N_BOOT, resolve_threads, run_test
 from .datasets import FIXTURES, load_dataset
-from .entropy import de_kde, de_ml, kde_smoothing_bias, ml_entropy_bias
+from .entropy import de_kde, kde_smoothing_bias, ml_entropy_bias
 from .errors import DdeError, UsageError
-from .families import FamilyId, TESTABLE_NULLS, fit_mle, get_family
+from .families import FamilyId, TESTABLE_NULLS, closed_form_entropy, fit_mle, get_family
 from .montecarlo import (
     ExperimentSpec, FittedModel, SimReport, run_experiment, table4_campaign,
 )
-from .quadrature import entropy_range
+from .quadrature import Scale, range_bounds
 from .report import emit_json, simulation_csv, simulation_manifest, test_report
 
 DEFAULT_SEED = 20250801  # fixed default so unseeded runs are still replayable
@@ -263,11 +265,11 @@ def _cmd_entropy(args) -> int:
 
     if args.family is not None:
         fitted = fit_mle(args.family, ds.values)
-        est = de_ml(fitted)
+        est = closed_form_entropy(fitted)
         fam = get_family(args.family)
         diag = None
         if fam.ml_bias is not None:
-            diag = ml_entropy_bias(args.family, fitted, fitted.n_fit)
+            diag = ml_entropy_bias(fitted, fitted.n_fit)
         print(f"DE_ML[{fam.family_id.value}] = {_fmt(est)} nats")
         for name, v in zip(fam.param_names, fitted.theta):
             print(f"  {name} = {_fmt(v)}")
@@ -280,14 +282,13 @@ def _cmd_entropy(args) -> int:
         if args.null_family is None:
             raise UsageError("--kde needs --null-family to drive the bandwidth regime")
         fitted = fit_mle(args.null_family, ds.values)
-        bw = select_bandwidth(args.null_family, fitted, ds.values)
-        support = get_family(args.null_family).support
-        est = de_kde(ds.values, bw, support)
-        try:
-            width = entropy_range(ds.values, bw.h, support).width
-            diag = kde_smoothing_bias(args.null_family, fitted, bw.h, ds.n, width)
-        except DdeError:
-            diag = None
+        bw = select_bandwidth(fitted, ds.values)
+        est = de_kde(ds.values, bw)
+        diag = None
+        if get_family(args.null_family).kde_smoothing is not None:
+            working = np.log(ds.values) if bw.scale is Scale.LN else ds.values
+            lower, upper = range_bounds(working, bw.h)
+            diag = kde_smoothing_bias(fitted, bw.h, ds.n, upper - lower)
         print(f"DE_KDE = {_fmt(est)} nats ({bw.scale.value} scale, "
               f"regime={bw.regime.value})")
         print(f"  h = {_fmt(bw.h)} = k_n({_fmt(bw.k_n)}) * c({_fmt(bw.c)}) * "

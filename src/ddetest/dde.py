@@ -24,12 +24,13 @@ attempts 1-3 on the rows that failed the attempt before, redrawn together.
 A group holds at most ``KDE_BLOCK_BYTES`` of samples, and with a pool (at
 n_boot >= 8) at most ⌈n_boot / (4 threads)⌉ replicates; each pool task is
 one group.  The observed statistic is one more such call, on the data as a
-single row; ``fit_mle``, ``select_bandwidth``, ``de_ml`` and ``de_kde`` are
-the one-row calls of its stages.  Every replicate draws from a stream that
-is a pure function of (seed, replicate, attempt), and every row-wise stage
-reduces along rows only, so a replicate's value is bit-identical alone or
-in any group, and results are bit-identical regardless of how replicates are
-scheduled across workers.
+single row; ``fit_mle``, ``select_bandwidth``, ``closed_form_entropy`` and
+``de_kde`` are the one-row calls of its stages, each taking every input
+once (the family from the fit, the scale from the bandwidth).  Every
+replicate draws from a stream that is a pure function of (seed, replicate,
+attempt), and every row-wise stage reduces along rows only, so a
+replicate's value is bit-identical alone or in any group, and results are
+bit-identical regardless of how replicates are scheduled across workers.
 
 Parallelism happens at one level, with one process pool.  A lone test
 (``ddetest test``) spreads groups of bootstrap replicates over ``threads``

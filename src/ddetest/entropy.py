@@ -2,8 +2,8 @@
 
 Two estimators of -∫ f ln f dx (nats):
 
-* ``de_ml`` — the parametric plug-in at the fitted parameters: the
-  family's closed form.
+* DE_ML — the parametric plug-in at the fitted parameters: the family's
+  closed form (``families.closed_form_entropy``).
 * ``de_kde`` — the Gaussian-kernel plug-in.  Real-supported data are
   smoothed on the raw scale; positive-supported data are smoothed in
   ln-space and the raw-scale entropy recovered as DE(g) + mean(ln x),
@@ -15,9 +15,10 @@ Two estimators of -∫ f ln f dx (nats):
   adds less than e^(-C²/2) ≈ 2.6e-18) and, by an exact factoring of the
   kernel, shares its exps with the nodes of 16 or 8 neighbouring panels.
   ``_kde_entropy`` is the one KDE tail, for the rows of a (rows, n)
-  working-scale array: the range rule, the fixed
-  rule and the ln-space shift.  ``de_kde`` is its one-row call; a test
-  calls it once on the data and once per group of bootstrap replicates.
+  working-scale array: the range rule (``quadrature.range_bounds``), the
+  fixed rule and the ln-space shift.  ``de_kde`` is its one-row call, with
+  the checks of one sample; a test calls it once on the data and once per
+  group of bootstrap replicates.
 
 The bias formulas (``ml_entropy_bias``, ``kde_smoothing_bias``) are
 diagnostics only: the bootstrap calibration reproduces both biases on its
@@ -40,26 +41,15 @@ import math
 import numpy as np
 
 from .bandwidth import BandwidthSpec
-from .errors import InvalidParameterError, QuadratureError, SupportError
-from .families import FamilyId, FittedModel, Support, closed_form_entropy, get_family
-from .quadrature import RANGE_BANDWIDTH_MULTIPLE, Scale, entropy_range, range_bounds
+from .errors import (
+    DataError, DegenerateDataError, InvalidParameterError, QuadratureError, SupportError,
+)
+from .families import FittedModel, Support, get_family
+from .quadrature import Scale, range_bounds
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 # ∫ K^2 for the standard normal kernel = 1/(2 sqrt(pi))
 _KERNEL_L2 = 1.0 / (2.0 * math.sqrt(math.pi))
-
-
-# --------------------------------------------------------------------------
-# parametric plug-in
-# --------------------------------------------------------------------------
-
-def de_ml(fitted: FittedModel) -> float:
-    """Plug-in entropy at the fitted parameters, from the family's closed form.
-
-    The one-row call of the family's ``entropy``, which the bootstrap takes
-    over the parameter columns of a group of replicates.
-    """
-    return closed_form_entropy(fitted)
 
 
 # --------------------------------------------------------------------------
@@ -204,55 +194,54 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     return values
 
 
-def _kde_entropy(working: np.ndarray, h: np.ndarray, support: Support,
-                 m: float = RANGE_BANDWIDTH_MULTIPLE) -> np.ndarray:
+def _kde_entropy(working: np.ndarray, h: np.ndarray, support: Support) -> np.ndarray:
     """DE_KDE of each row of a (rows, n) working-scale array, row r smoothed
-    with bandwidth h[r]: the range rule (``range_bounds`` at multiple m), the
-    fixed rule (``_kde_entropy_rows``) and, on positive support, the ln-space
-    shift mean(ln x).  Nothing checks the rows: each must be finite and vary.
+    with bandwidth h[r]: the range rule (``range_bounds``), the fixed rule
+    (``_kde_entropy_rows``) and, on positive support, the ln-space shift
+    mean(ln x).  Nothing checks the rows: each must be finite and vary.
     """
-    lower, upper = range_bounds(working, h, m)
+    lower, upper = range_bounds(working, h)
     values = _kde_entropy_rows(working, h, lower, upper)
     return values + working.mean(axis=1) if support is Support.POSITIVE else values
 
 
-def de_kde(
-    data,
-    bw: BandwidthSpec,
-    support: Support,
-    *,
-    range_multiple: float | None = None,
-) -> float:
+def de_kde(data, bw: BandwidthSpec) -> float:
     """Kernel plug-in entropy over the quantile-based integration range.
 
-    On positive support the kernel smooths y = ln(x) and the estimate is
-    -∫ g ln g dy + mean(y).  The one-row call of ``_kde_entropy``, after
-    the checks of the bandwidth's scale and those of ``entropy_range``.
-    ``range_multiple`` overrides the default bandwidth multiple of the
-    integration-range rule (tail-sensitivity studies; the ln-space identity
-    is exact only as the range widens, since the mean term integrates the
-    kernel tails in full).
+    The kernel smooths the data on ``bw.scale``: on the ln scale (positive
+    support) it smooths y = ln(x) and the estimate is -∫ g ln g dy +
+    mean(y).  The one-row call of ``_kde_entropy``, after the checks of one
+    sample: one-dimensional, finite, a finite bandwidth > 0, x > 0 on the
+    ln scale, and at least 2 values that are not all the same on the
+    working scale.
     """
     data = np.asarray(data, dtype=float)
-    if support is Support.POSITIVE:
-        if bw.scale is not Scale.LN:
-            raise InvalidParameterError("positive-support KDE requires an ln-scale bandwidth")
-        if np.min(data) <= 0.0:
-            raise SupportError("positive-support KDE requires strictly positive data")
-    elif bw.scale is not Scale.RAW:
-        raise InvalidParameterError("real-support KDE requires a raw-scale bandwidth")
-    m = RANGE_BANDWIDTH_MULTIPLE if range_multiple is None else range_multiple
-    entropy_range(data, bw.h, support, m=m)  # its checks of the data and bandwidth
-    working = np.log(data) if support is Support.POSITIVE else data
-    return float(_kde_entropy(working[None, :], np.array([bw.h]), support, m)[0])
+    if data.ndim != 1:
+        raise DataError("expected a one-dimensional sample")
+    if not np.isfinite(data).all():
+        raise DataError("sample contains non-finite values")
+    if not math.isfinite(bw.h):
+        raise InvalidParameterError(f"bandwidth must be finite, got {bw.h}")
+    if bw.h <= 0.0:
+        raise InvalidParameterError(f"bandwidth must be > 0, got {bw.h}")
+    positive = bw.scale is Scale.LN
+    if positive and (data <= 0.0).any():
+        raise SupportError("positive-support KDE requires strictly positive data")
+    if data.size < 2:
+        raise DegenerateDataError("need at least 2 observations for an integration range")
+    working = np.log(data) if positive else data
+    if np.min(working) == np.max(working):
+        raise DegenerateDataError("all observations are identical")
+    support = Support.POSITIVE if positive else Support.REAL
+    return float(_kde_entropy(working[None, :], np.array([bw.h]), support)[0])
 
 
 # --------------------------------------------------------------------------
 # bias diagnostics
 # --------------------------------------------------------------------------
 
-def ml_entropy_bias(family: FamilyId | str, fitted: FittedModel, n: int) -> float:
-    """O(1/n) bias of the plug-in entropy under the named null.
+def ml_entropy_bias(fitted: FittedModel, n: int) -> float:
+    """O(1/n) bias of the plug-in entropy under the fitted null.
 
     Normal uses the exact digamma form ½[ψ((n-1)/2) - ln(n/2)]; Exponential
     and Laplace are -1/(2n); Gamma depends on the fitted shape.  The Laplace
@@ -260,7 +249,7 @@ def ml_entropy_bias(family: FamilyId | str, fitted: FittedModel, n: int) -> floa
     empirical bias of the median/shape estimates; they are reported as
     first-order diagnostics, never applied to statistics.
     """
-    fam = get_family(family)
+    fam = get_family(fitted.family)
     if fam.ml_bias is None:
         raise InvalidParameterError(f"no ML-entropy bias form for {fam.family_id.value}")
     if n < 2:
@@ -268,18 +257,16 @@ def ml_entropy_bias(family: FamilyId | str, fitted: FittedModel, n: int) -> floa
     return float(fam.ml_bias(fitted.theta, n))
 
 
-def kde_smoothing_bias(
-    family: FamilyId | str, fitted: FittedModel, h: float, n: int, width: float
-) -> float:
+def kde_smoothing_bias(fitted: FittedModel, h: float, n: int, width: float) -> float:
     """Leading-order bias of ``de_kde``, the integral plug-in -∫_R f̂ ln f̂.
 
     Returns (h²/2) J - W/(4√π n h) + 1/(2n).  J is the location Fisher
-    information of the named null on the working scale (1/σ² normal, 1
+    information of the fitted null on the working scale (1/σ² normal, 1
     ln-exponential, a ln-gamma, 1/b² Laplace), so (h²/2) J is the entropy
     gained by smoothing with the Gaussian kernel.  The last two terms are
     -½∫_R Var f̂ / f_h with Var f̂ ≈ (f_h ∫K²/h - f_h²)/n.  ``width`` is the
-    width W of the range R that ``de_kde`` integrates over,
-    ``entropy_range(data, h, support).width``.
+    width W of the range R that ``de_kde`` integrates over: upper - lower of
+    ``quadrature.range_bounds`` on the working-scale data.
 
     The expansion is first-order: for non-normal nulls it overstates the
     bias at n in the hundreds.  At n = 100 with h = 1.06 ŝ n^-1/5 on the
@@ -287,7 +274,7 @@ def kde_smoothing_bias(
     against a Monte Carlo +0.096 for the exponential, +0.078 against
     +0.073 for gamma(3), and +0.147 against +0.090 for Laplace(b=½).
     """
-    fam = get_family(family)
+    fam = get_family(fitted.family)
     if fam.kde_smoothing is None:
         raise InvalidParameterError(f"no KDE smoothing-bias form for {fam.family_id.value}")
     if h <= 0.0:

@@ -1110,9 +1110,3 @@ def null_kurtosis(model: FittedModel) -> float:
             f"{fam.family_id.value} has no null-implied kurtosis (not a testable null)"
         )
     return float(fam.kurtosis(model.theta))
-
-
-def mean_log_likelihood(model: FittedModel, data) -> float:
-    """Mean log-likelihood of the sample under the model."""
-    lp = log_pdf(model, np.asarray(data, dtype=float))
-    return float(np.mean(lp))

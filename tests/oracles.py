@@ -5,7 +5,8 @@
 integrands.  ``_de_ml_quadrature`` integrates a fitted model's own density:
 the oracle the closed-form entropies are checked against, over a range that
 ``WORKING_MOMENTS`` places.  ``kde_pdf`` is the Gaussian KDE summed over
-every sample.
+every sample, and ``mean_log_likelihood`` the mean log-density of a sample
+under a model, which the fit tests maximize.
 """
 from __future__ import annotations
 
@@ -17,22 +18,21 @@ from scipy.special import digamma, polygamma
 
 from ddetest.errors import InvalidParameterError
 from ddetest.families import FamilyId, FittedModel, Support, log_pdf
-from ddetest.quadrature import IntegrationRange
 
 DEFAULT_TOL = 1e-8
 
 
-def integrate(f, rng: IntegrationRange, tol: float, edges=None) -> float:
-    """∫ f over ``rng`` with absolute error at most ``tol``.
+def integrate(f, lower: float, upper: float, tol: float, edges=None) -> float:
+    """∫ f over [lower, upper] with absolute error at most ``tol``.
 
     ``f`` maps a 1-d array of points to an array of values.  ``edges``, an
-    increasing array from ``rng.lower`` to ``rng.upper``, puts breakpoints
+    increasing array from ``lower`` to ``upper``, puts breakpoints
     at its interior points: an integrand whose structure lives on another
     scale (ln x on a raw axis) needs them, since the error estimate cannot
     see structure far below a subinterval's node spacing.
     """
     points = None if edges is None else np.asarray(edges, dtype=float)[1:-1]
-    value, _ = quad(lambda x: f(np.array([x]))[0], rng.lower, rng.upper,
+    value, _ = quad(lambda x: f(np.array([x]))[0], lower, upper,
                     epsabs=tol, epsrel=0.0, limit=4000, points=points)
     return value
 
@@ -49,6 +49,12 @@ def kde_pdf(data, h: float, x):
     z = (pts.reshape(-1, 1) - data[None, :]) / h
     out = np.exp(-0.5 * z * z).sum(axis=1) / (data.size * h * math.sqrt(2.0 * math.pi))
     return float(out[0]) if scalar else out.reshape(np.shape(x))
+
+
+def mean_log_likelihood(model: FittedModel, data) -> float:
+    """Mean log-likelihood of the sample under the model."""
+    lp = log_pdf(model, np.asarray(data, dtype=float))
+    return float(np.mean(lp))
 
 
 def _working_normal(th):
@@ -96,7 +102,6 @@ def _de_ml_quadrature(fitted: FittedModel, tol: float) -> float:
     if fitted.family not in WORKING_MOMENTS:
         raise InvalidParameterError(f"no quadrature entropy path for {fitted.family.value}")
     mean, sd = WORKING_MOMENTS[fitted.family](fitted.theta)
-    rng = IntegrationRange(mean - 45.0 * sd, mean + 45.0 * sd)
     if fitted.support is Support.POSITIVE:
         def integrand(y):
             # -f(x) ln f(x) dx with x = e^y
@@ -106,4 +111,4 @@ def _de_ml_quadrature(fitted: FittedModel, tol: float) -> float:
         def integrand(y):
             lp = log_pdf(fitted, y)
             return -np.exp(lp) * np.where(np.isfinite(lp), lp, 0.0)
-    return integrate(integrand, rng, tol)
+    return integrate(integrand, mean - 45.0 * sd, mean + 45.0 * sd, tol)

@@ -18,9 +18,10 @@ import ddetest as d
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
 from ddetest.dde import BootstrapDistribution, resolve_threads
-from ddetest.families import FamilyId, FittedModel, Support
+from ddetest.entropy import _kde_entropy_rows
+from ddetest.families import FamilyId, FittedModel
 from ddetest.montecarlo import NULL_MEMBERS
-from ddetest.quadrature import IntegrationRange, Scale, entropy_range
+from ddetest.quadrature import Scale, range_bounds
 
 from oracles import _de_ml_quadrature, integrate
 
@@ -90,12 +91,13 @@ def test_criterion_2_ln_space_identity():
         data = d.sample(gen, n, d.substream("acc2", i))
         y = np.log(data)
         h = 1.06 * y.std() * n ** -0.2
-        stats = ShapeStats(3.0, 0.0, 3.0, 3.0, 1.0, float(y.std()))
-        bw = BandwidthSpec(h=h, c=1.0, k_n=1.06, n=n, scale=Scale.LN,
-                           shape=stats, regime=Regime.RIGHT_SKEWED_POSITIVE)
         # the identity is exact on matched domains wide enough that kernel
-        # tails are fully integrated; m=12 puts truncation below 1e-30
-        ln_value = d.de_kde(data, bw, Support.POSITIVE, range_multiple=12.0)
+        # tails are fully integrated; q -/+ 12h puts truncation below 1e-30
+        work, hs = y[None, :], np.array([h])
+        q_low, q_high = np.quantile(work, [0.001, 0.999], axis=1)
+        ln_lower, ln_upper = q_low - 12.0 * hs, q_high + 12.0 * hs
+        ln_value = float(_kde_entropy_rows(work, hs, ln_lower, ln_upper)[0]
+                         + work.mean(axis=1)[0])
 
         norm = 1.0 / (n * h * math.sqrt(2.0 * math.pi))
 
@@ -105,15 +107,12 @@ def test_criterion_2_ln_space_identity():
             fx = np.exp(-0.5 * z * z).sum(axis=1) * norm / x
             return np.where(fx > 0, -fx * np.log(np.where(fx > 0, fx, 1.0)), 0.0)
 
-        from ddetest.quadrature import entropy_range
-
-        ln_rng = entropy_range(data, h, Support.POSITIVE, m=12.0)
-        raw_rng = IntegrationRange(math.exp(ln_rng.lower), math.exp(ln_rng.upper))
+        raw_lower, raw_upper = math.exp(ln_lower[0]), math.exp(ln_upper[0])
         # break the range at log-spaced points: the integrand's structure
         # lives on the ln scale, so equally spaced raw panels would alias it
-        edges = np.exp(np.linspace(ln_rng.lower, ln_rng.upper, 257))
-        edges[0], edges[-1] = raw_rng.lower, raw_rng.upper
-        raw_value = integrate(raw_image, raw_rng, tol=1e-10, edges=edges)
+        edges = np.exp(np.linspace(ln_lower[0], ln_upper[0], 257))
+        edges[0], edges[-1] = raw_lower, raw_upper
+        raw_value = integrate(raw_image, raw_lower, raw_upper, tol=1e-10, edges=edges)
         worst = max(worst, abs(raw_value - ln_value))
     _report(2, "ln-space value + mean(ln x) equals raw-space change-of-variables "
                "quadrature to 1e-8 on 20 samples", worst < 1e-8,
@@ -131,13 +130,13 @@ def test_criterion_3_ml_bias_monte_carlo():
 
     x = rng.normal(0.0, 1.0, (reps, n))
     err = 0.5 * np.log(2 * math.pi * math.e * x.var(axis=1)) - HALF_LN_2PIE
-    pred = d.ml_entropy_bias(FamilyId.NORMAL, FittedModel(FamilyId.NORMAL, (0.0, 1.0)), n)
+    pred = d.ml_entropy_bias(FittedModel(FamilyId.NORMAL, (0.0, 1.0)), n)
     se = err.std(ddof=1) / math.sqrt(reps)
     results.append(("normal", err.mean(), pred, se, abs(err.mean() - pred) < 3 * se))
 
     x = rng.exponential(2.0, (reps, n))
     err = 1.0 + np.log(x.mean(axis=1)) - (1.0 + math.log(2.0))
-    pred = d.ml_entropy_bias(FamilyId.EXPONENTIAL, FittedModel(FamilyId.EXPONENTIAL, (2.0,)), n)
+    pred = d.ml_entropy_bias(FittedModel(FamilyId.EXPONENTIAL, (2.0,)), n)
     se = err.std(ddof=1) / math.sqrt(reps)
     results.append(("exponential", err.mean(), pred, se, abs(err.mean() - pred) < 3 * se))
 
@@ -169,9 +168,9 @@ def test_criterion_4_kde_bias_monte_carlo():
         stats = ShapeStats(3.0, 0.0, 3.0, 3.0, 1.0, float(x.std()))
         bw = BandwidthSpec(h=h, c=1.06, k_n=1.0, n=n, scale=Scale.RAW,
                            shape=stats, regime=Regime.GAUSSIAN)
-        errs[r] = d.de_kde(x, bw, Support.REAL) - HALF_LN_2PIE
-        width = entropy_range(x, h, Support.REAL).width
-        preds[r] = d.kde_smoothing_bias(FamilyId.NORMAL, null, h, n, width)
+        errs[r] = d.de_kde(x, bw) - HALF_LN_2PIE
+        lower, upper = range_bounds(x, h)
+        preds[r] = d.kde_smoothing_bias(null, h, n, upper - lower)
     predicted = float(preds.mean())
     se = errs.std(ddof=1) / math.sqrt(reps)
     _report(4, "KDE entropy bias at Silverman bandwidth matches "
@@ -349,14 +348,14 @@ def test_criterion_10_bandwidth_rule():
             fitted = d.fit_mle(FamilyId.LAPLACE, data)
         except d.DdeError:
             continue
-        bw = d.select_bandwidth(FamilyId.LAPLACE, fitted, data)
+        bw = d.select_bandwidth(fitted, data)
         ok = ok and 0.85 <= bw.c <= 1.15
 
     # Gaussian regime pins c = 1 regardless of the sample's shape
     for r in range(10):
         data = rng.standard_cauchy(80)
         fitted = d.fit_mle(FamilyId.NORMAL, data)
-        bw = d.select_bandwidth(FamilyId.NORMAL, fitted, data)
+        bw = d.select_bandwidth(fitted, data)
         ok = ok and bw.c == 1.0 and bw.regime is Regime.GAUSSIAN
     _report(10, "k(50)=1.25 and k(100)=1.00 exactly; c clamped to [0.85, 1.15] "
                 "on adversarial inputs; c=1 in the Gaussian regime", ok)

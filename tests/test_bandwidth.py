@@ -12,7 +12,7 @@ from ddetest.quadrature import Scale
 
 def _regime(null_family, data):
     """The bandwidth regime of testing ``null_family`` on ``data``."""
-    return select_bandwidth(null_family, fit_mle(null_family, data), data).regime
+    return select_bandwidth(fit_mle(null_family, data), data).regime
 
 
 def _standardized_normal(n, tag):
@@ -71,7 +71,7 @@ def test_bandwidth_gaussian_rate_value():
     # n = 250, sigma_hat = 1, c = k = 1  ->  h = 250^(-1/5)
     data = _standardized_normal(250, "rate")
     fitted = fit_mle(FamilyId.NORMAL, data)
-    bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
+    bw = select_bandwidth(fitted, data)
     assert bw.c == 1.0 and bw.k_n == 1.0
     assert bw.shape.sigma_hat == pytest.approx(1.0, abs=1e-12)
     assert bw.h == pytest.approx(250.0 ** -0.2, abs=1e-12)
@@ -83,16 +83,16 @@ def test_bandwidth_small_sample_values():
     for n, k_expected in [(50, 1.25), (75, 1.125), (100, 1.0)]:
         data = _standardized_normal(n, f"k{n}")
         fitted = fit_mle(FamilyId.NORMAL, data)
-        bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
+        bw = select_bandwidth(fitted, data)
         assert bw.k_n == pytest.approx(k_expected)
 
 
 def test_bandwidth_scales_linearly_in_sigma():
     data = substream("bw", "lin").normal(2.0, 3.0, 157)
     fitted = fit_mle(FamilyId.NORMAL, data)
-    h1 = select_bandwidth(FamilyId.NORMAL, fitted, data).h
+    h1 = select_bandwidth(fitted, data).h
     fitted2 = fit_mle(FamilyId.NORMAL, 2.0 * data)
-    h2 = select_bandwidth(FamilyId.NORMAL, fitted2, 2.0 * data).h
+    h2 = select_bandwidth(fitted2, 2.0 * data).h
     assert h2 == pytest.approx(2.0 * h1, rel=1e-14)
 
 
@@ -101,7 +101,7 @@ def test_bandwidth_rate_in_n():
     for n in (100, 250, 500, 2000):
         data = _standardized_normal(n, "rate2")
         fitted = fit_mle(FamilyId.NORMAL, data)
-        bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
+        bw = select_bandwidth(fitted, data)
         assert bw.h * n ** 0.2 == pytest.approx(1.0, abs=1e-12)
 
 
@@ -136,7 +136,7 @@ def test_bounds_on_c_and_k():
             fitted = fit_mle(null, data)
         except DataError:
             continue
-        bw = select_bandwidth(null, fitted, data)
+        bw = select_bandwidth(fitted, data)
         assert 0.85 <= bw.c <= 1.15
         assert 1.0 <= bw.k_n <= 1.25
         assert bw.h > 0.0
@@ -146,7 +146,7 @@ def test_ln_scale_stats_for_positive_nulls():
     m = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
     data = sample(m, 300, substream("bw-ln"))
     fitted = fit_mle(FamilyId.GAMMA, data)
-    bw = select_bandwidth(FamilyId.GAMMA, fitted, data)
+    bw = select_bandwidth(fitted, data)
     assert bw.scale is Scale.LN
     assert bw.regime is Regime.RIGHT_SKEWED_POSITIVE
     lx = np.log(data)
@@ -159,7 +159,7 @@ def test_ln_scale_stats_for_positive_nulls():
 def test_degenerate_data_rejected():
     fitted = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     with pytest.raises(DegenerateDataError):
-        select_bandwidth(FamilyId.NORMAL, fitted, np.ones(50))
+        select_bandwidth(fitted, np.ones(50))
 
 
 def test_missing_null_kurtosis_is_a_usage_error():
@@ -167,7 +167,7 @@ def test_missing_null_kurtosis_is_a_usage_error():
     fitted = FittedModel(FamilyId.WEIBULL, (1.7915, 3.3727))
     data = sample(fitted, 120, substream("bw-fallback"))
     with pytest.raises(InvalidParameterError, match="no null-implied kurtosis"):
-        select_bandwidth(FamilyId.WEIBULL, fitted, data)
+        select_bandwidth(fitted, data)
 
 
 def test_unrelated_kurtosis_error_propagates(monkeypatch):
@@ -181,7 +181,7 @@ def test_unrelated_kurtosis_error_propagates(monkeypatch):
     fitted = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
     data = sample(fitted, 120, substream("bw-propagate"))
     with pytest.raises(ZeroDivisionError):
-        select_bandwidth(FamilyId.GAMMA, fitted, data)
+        select_bandwidth(fitted, data)
 
 
 def test_sample_shape_matches_central_moments():
@@ -200,7 +200,7 @@ def test_non_finite_working_variance_is_a_data_error():
     fitted = FittedModel(FamilyId.LAPLACE, (0.0, 1.0))
     data = np.array([-1e300, 1e300, 0.0, 5.0, -3.0])
     with pytest.raises(DataError, match="not finite"):
-        select_bandwidth(FamilyId.LAPLACE, fitted, data)
+        select_bandwidth(fitted, data)
     with pytest.raises(DataError, match="not finite"):
         _regime(FamilyId.LAPLACE, data)
 

@@ -3,9 +3,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from ddetest import (
+    TESTABLE_NULLS, closed_form_entropy, de_kde, fit_mle, get_family, kde_smoothing_bias,
+    load_dataset, ml_entropy_bias, select_bandwidth,
+)
 from ddetest.cli import main
+from ddetest.quadrature import Scale, range_bounds
 
 FIXTURE = "faithful-hardle"
 
@@ -137,6 +143,29 @@ def test_entropy_kde_path_reports_bandwidth_decomposition(capsys):
     out = capsys.readouterr().out
     assert "ln scale" in out and "right_skewed_positive" in out
     assert "kappa0" in out and "k_n" in out
+
+
+@pytest.mark.parametrize("null", [fid.value for fid in TESTABLE_NULLS])
+def test_entropy_both_modes_match_the_library(null, tmp_path):
+    # the --out value and bias diagnostic are the library calls', bit for bit
+    data = load_dataset(FIXTURE).values
+    fam, fitted = get_family(null), fit_mle(null, data)
+    bw = select_bandwidth(fitted, data)
+    lower, upper = range_bounds(np.log(data) if bw.scale is Scale.LN else data, bw.h)
+    expected = {
+        "ml": (closed_form_entropy(fitted),
+               None if fam.ml_bias is None else ml_entropy_bias(fitted, fitted.n_fit)),
+        "kde": (de_kde(data, bw), None if fam.kde_smoothing is None
+                else kde_smoothing_bias(fitted, bw.h, data.size, upper - lower)),
+    }
+    for mode, flags in (("ml", ["--family", null]), ("kde", ["--kde", "--null-family", null])):
+        out = tmp_path / f"{mode}.json"
+        assert run_cli(["entropy", "--data", FIXTURE, *flags, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["value"], doc["bias_diag"]) == expected[mode]
+    # the diagnostics have no form for the lognormal and GG nulls
+    no_form = null in ("lognormal", "gengamma")
+    assert (expected["ml"][1] is None) == (expected["kde"][1] is None) == no_form
 
 
 def test_entropy_requires_exactly_one_mode():

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddetest import (
-    FamilyId, FittedModel, bootstrap_null, critical_interval, de_kde, de_ml, fit_mle,
-    get_family, load_dataset, p_value, run_test, sample, select_bandwidth, substream,
+    FamilyId, FittedModel, bootstrap_null, closed_form_entropy, critical_interval, de_kde,
+    fit_mle, load_dataset, p_value, run_test, sample, select_bandwidth, substream,
 )
 from ddetest.dde import BootstrapDistribution, resolve_threads
 from ddetest.errors import (
@@ -104,13 +104,13 @@ def test_critical_interval_alpha_validation():
 
 def _dde(fitted, data, bw):
     """DE_ML - DE_KDE from the one-row API."""
-    return de_ml(fitted) - de_kde(data, bw, get_family(fitted.family).support)
+    return closed_form_entropy(fitted) - de_kde(data, bw)
 
 
 def test_dde_small_under_true_null_large_sample():
     data = substream("dde-null").normal(0.0, 1.0, 10_000)
     fitted = fit_mle(FamilyId.NORMAL, data)
-    bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
+    bw = select_bandwidth(fitted, data)
     assert abs(_dde(fitted, data, bw)) < 0.05
 
 
@@ -120,7 +120,7 @@ def test_dde_diverges_for_cauchy_against_normal_null():
     for r in range(10):
         data = sample(FittedModel(FamilyId.CAUCHY, (0.0, 1.0)), 500, substream("dde-div", r))
         fitted = fit_mle(FamilyId.NORMAL, data)
-        bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
+        bw = select_bandwidth(fitted, data)
         assert abs(_dde(fitted, data, bw)) > 0.2
 
 
@@ -154,7 +154,7 @@ def test_bootstrap_mean_matches_independent_simulation_oracle():
     for r in range(reps):
         x = sample(fitted, 100, substream("oracle-gap", r))
         refit = fit_mle(FamilyId.EXPONENTIAL, x)
-        bw = select_bandwidth(FamilyId.EXPONENTIAL, refit, x)
+        bw = select_bandwidth(refit, x)
         direct[r] = _dde(refit, x, bw)
     se = math.hypot(boot.values.std(ddof=1) / math.sqrt(boot.values.size),
                     direct.std(ddof=1) / math.sqrt(reps))
@@ -184,7 +184,7 @@ def _replayed(fitted, n, seed, r, poisoned=()):
         x = _draw(fitted, n, seed, r, attempt)
         try:
             refit = fit_mle(fitted.family, x)
-            bw = select_bandwidth(fitted.family, refit, x)
+            bw = select_bandwidth(refit, x)
         except (FitError, DataError):
             continue
         return _dde(refit, x, bw)
@@ -240,7 +240,7 @@ def test_replicate_retries_use_fresh_substreams(monkeypatch):
     monkeypatch.undo()
     x = _draw(fitted, 50, 4, 0, 2)
     refit = fit_mle(FamilyId.NORMAL, x)
-    assert boot.values[0] == _dde(refit, x, select_bandwidth(FamilyId.NORMAL, refit, x))
+    assert boot.values[0] == _dde(refit, x, select_bandwidth(refit, x))
 
 
 def test_bootstrap_aborts_when_failures_exceed_tolerance(monkeypatch):
@@ -410,14 +410,15 @@ def test_run_test_thread_count_invariance():
 @pytest.mark.parametrize("model", _NULL_MODELS, ids=lambda m: m.family.value)
 def test_one_row_api_agrees_with_run_test(model):
     # the fit, the bandwidth and the observed DDE of a test are, bit for bit,
-    # what fit_mle, select_bandwidth, de_ml and de_kde give on the same data
+    # what fit_mle, select_bandwidth, closed_form_entropy and de_kde give on the
+    # same data
     fid = model.family
     samples = [load_dataset("faithful-hardle").values]
     samples += [sample(model, 60 + 70 * k, substream("one-row", k)) for k in range(3)]
     for data in samples:
         res = run_test(fid, data, n_boot=1, seed=1)
         fitted = fit_mle(fid, data)
-        bw = select_bandwidth(fid, fitted, data)
+        bw = select_bandwidth(fitted, data)
         assert res.fitted == fitted
         assert res.bandwidth == bw
         assert res.observed_dde == _dde(fitted, data, bw)

@@ -4,23 +4,25 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import digamma, xlogy
 
 from ddetest import (
-    FamilyId, FittedModel, de_kde, de_ml, fit_mle, kde_smoothing_bias, ml_entropy_bias,
-    sample, select_bandwidth, substream,
+    FamilyId, FittedModel, closed_form_entropy, de_kde, fit_mle, kde_smoothing_bias,
+    ml_entropy_bias, sample, select_bandwidth, substream,
 )
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
 from ddetest.entropy import (
     _GL_NODES, _GL_WEIGHTS, _PANEL_BANDWIDTHS, _SQRT_2PI, _kde_entropy_rows,
 )
-from ddetest.errors import InvalidParameterError, QuadratureError
-from ddetest.families import Support, get_family
-from ddetest.quadrature import IntegrationRange, Scale, entropy_range, range_bounds
+from ddetest.errors import (
+    DataError, DegenerateDataError, InvalidParameterError, QuadratureError, SupportError,
+)
+from ddetest.quadrature import Scale, range_bounds
 
 from oracles import DEFAULT_TOL, _de_ml_quadrature, integrate, kde_pdf
 
@@ -38,18 +40,18 @@ def _bw(h, n, scale=Scale.RAW):
 # --------------------------------------------------------------------------
 
 def test_de_ml_normal_unit_variance():
-    est = de_ml(FittedModel(FamilyId.NORMAL, (0.3, 1.0)))
+    est = closed_form_entropy(FittedModel(FamilyId.NORMAL, (0.3, 1.0)))
     assert est == pytest.approx(HALF_LN_2PIE, abs=1e-12)
 
 
 def test_de_ml_exponential():
-    est = de_ml(FittedModel(FamilyId.EXPONENTIAL, (2.0,)))
+    est = closed_form_entropy(FittedModel(FamilyId.EXPONENTIAL, (2.0,)))
     assert est == pytest.approx(1.0 + math.log(2.0), abs=1e-12)
 
 
 def test_de_ml_gamma_cross_checked_by_quadrature():
     fitted = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
-    closed = de_ml(fitted)
+    closed = closed_form_entropy(fitted)
     quad = _de_ml_quadrature(fitted, tol=DEFAULT_TOL)
     assert closed == pytest.approx(1.8475785103630111, abs=1e-12)
     assert quad == pytest.approx(closed, abs=1e-8)
@@ -83,10 +85,8 @@ def test_kde_two_point_hand_value():
 def test_kde_mixture_normalizes():
     data = substream("kde-norm").normal(0.0, 1.0, 80)
     h = 1.06 * data.std() * data.size ** -0.2
-    from ddetest.quadrature import entropy_range
-
-    rng = entropy_range(data, h, Support.REAL, m=8.0)
-    val = integrate(lambda x: kde_pdf(data, h, x), rng, tol=1e-9)
+    q_low, q_high = np.quantile(data, [0.001, 0.999])
+    val = integrate(lambda x: kde_pdf(data, h, x), q_low - 8.0 * h, q_high + 8.0 * h, tol=1e-9)
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -103,8 +103,8 @@ def test_kde_strictly_positive():
 def test_de_kde_consistency_real_line():
     data = substream("dekde-real").normal(0.0, 1.0, 10_000)
     fitted = fit_mle(FamilyId.NORMAL, data)
-    bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    est = de_kde(data, bw, Support.REAL)
+    bw = select_bandwidth(fitted, data)
+    est = de_kde(data, bw)
     assert abs(est - HALF_LN_2PIE) < 0.02
 
 
@@ -113,8 +113,8 @@ def test_de_kde_consistency_ln_space():
     z = substream("dekde-ln").normal(0.0, 1.0, 10_000)
     data = np.exp(z)
     fitted = fit_mle(FamilyId.LOGNORMAL, data)
-    bw = select_bandwidth(FamilyId.LOGNORMAL, fitted, data)
-    est = de_kde(data, bw, Support.POSITIVE)
+    bw = select_bandwidth(fitted, data)
+    est = de_kde(data, bw)
     assert abs(est - HALF_LN_2PIE) < 0.03
 
 
@@ -123,11 +123,15 @@ def test_change_of_variables_identity():
     # exact change-of-variables image of the ln-space KDE
     data = sample(FittedModel(FamilyId.GAMMA, (3.0, 1.0)), 200, substream("cov", 3))
     fitted = fit_mle(FamilyId.GAMMA, data)
-    bw = select_bandwidth(FamilyId.GAMMA, fitted, data)
-    est = de_kde(data, bw, Support.POSITIVE, range_multiple=12.0)
-
+    bw = select_bandwidth(fitted, data)
+    # the ln-space value + mean(ln x) over q -/+ 12h, wide enough that the
+    # kernel tails are fully integrated
     y = np.log(data)
     h = bw.h
+    work, hs = y[None, :], np.array([h])
+    q_low, q_high = np.quantile(work, [0.001, 0.999], axis=1)
+    ln_lower, ln_upper = q_low - 12.0 * hs, q_high + 12.0 * hs
+    est = float(_kde_entropy_rows(work, hs, ln_lower, ln_upper)[0] + work.mean(axis=1)[0])
     norm = 1.0 / (y.size * h * math.sqrt(2 * math.pi))
 
     def raw_image_entropy(x):
@@ -138,25 +142,22 @@ def test_change_of_variables_identity():
         fx = g / x
         return np.where(fx > 0, -fx * np.log(np.where(fx > 0, fx, 1.0)), 0.0)
 
-    from ddetest.quadrature import entropy_range
-
-    ln_rng = entropy_range(data, h, Support.POSITIVE, m=12.0)
-    raw_rng = IntegrationRange(math.exp(ln_rng.lower), math.exp(ln_rng.upper))
-    edges = np.exp(np.linspace(ln_rng.lower, ln_rng.upper, 129))
-    edges[0], edges[-1] = raw_rng.lower, raw_rng.upper
-    raw_val = integrate(raw_image_entropy, raw_rng, tol=1e-10, edges=edges)
+    raw_lower, raw_upper = math.exp(ln_lower[0]), math.exp(ln_upper[0])
+    edges = np.exp(np.linspace(ln_lower[0], ln_upper[0], 129))
+    edges[0], edges[-1] = raw_lower, raw_upper
+    raw_val = integrate(raw_image_entropy, raw_lower, raw_upper, tol=1e-10, edges=edges)
     assert raw_val == pytest.approx(est, abs=1e-8)
 
 
 def test_de_kde_translation_invariant():
     data = substream("dekde-shift").normal(0.0, 1.0, 300)
     fitted = fit_mle(FamilyId.NORMAL, data)
-    bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    v0 = de_kde(data, bw, Support.REAL)
+    bw = select_bandwidth(fitted, data)
+    v0 = de_kde(data, bw)
     shifted = data + 123.0
     fitted2 = fit_mle(FamilyId.NORMAL, shifted)
-    bw2 = select_bandwidth(FamilyId.NORMAL, fitted2, shifted)
-    v1 = de_kde(shifted, bw2, Support.REAL)
+    bw2 = select_bandwidth(fitted2, shifted)
+    v1 = de_kde(shifted, bw2)
     assert v1 == pytest.approx(v0, abs=1e-7)
 
 
@@ -164,20 +165,48 @@ def test_de_kde_log_scaling_law():
     # scaling data by s adds ln s when h tracks sigma_hat
     data = substream("dekde-scale").normal(0.0, 1.0, 300)
     fitted = fit_mle(FamilyId.NORMAL, data)
-    bw = select_bandwidth(FamilyId.NORMAL, fitted, data)
-    v0 = de_kde(data, bw, Support.REAL)
+    bw = select_bandwidth(fitted, data)
+    v0 = de_kde(data, bw)
     for s in (0.5, 2.0, 8.0):
         scaled = s * data
         fitted_s = fit_mle(FamilyId.NORMAL, scaled)
-        bw_s = select_bandwidth(FamilyId.NORMAL, fitted_s, scaled)
-        v1 = de_kde(scaled, bw_s, Support.REAL)
+        bw_s = select_bandwidth(fitted_s, scaled)
+        v1 = de_kde(scaled, bw_s)
         assert v1 == pytest.approx(v0 + math.log(s), abs=1e-6)
 
 
-def test_de_kde_requires_matching_scale():
-    data = np.abs(substream("dekde-mis").normal(0.0, 1.0, 50)) + 0.1
-    with pytest.raises(InvalidParameterError):
-        de_kde(data, _bw(0.3, 50, Scale.RAW), Support.POSITIVE)
+_X = np.abs(substream("dekde-checks").normal(0.0, 1.0, 50)) + 0.1
+
+
+def _with(value):
+    x = _X.copy()
+    x[7] = value
+    return x
+
+
+@pytest.mark.parametrize("data,h,scale,error,message", [
+    (_with(np.nan), 0.3, Scale.RAW, DataError, "sample contains non-finite values"),
+    (_with(np.inf), 0.3, Scale.RAW, DataError, "sample contains non-finite values"),
+    (_with(-np.inf), 0.3, Scale.LN, DataError, "sample contains non-finite values"),
+    (_X.reshape(5, 10), 0.3, Scale.RAW, DataError, "expected a one-dimensional sample"),
+    (_X, np.nan, Scale.RAW, InvalidParameterError, "bandwidth must be finite, got nan"),
+    (_X, np.inf, Scale.LN, InvalidParameterError, "bandwidth must be finite, got inf"),
+    (_X, 0.0, Scale.RAW, InvalidParameterError, "bandwidth must be > 0, got 0.0"),
+    (_X, -0.3, Scale.LN, InvalidParameterError, "bandwidth must be > 0, got -0.3"),
+    (_X[:1], 0.3, Scale.RAW, DegenerateDataError,
+     "need at least 2 observations for an integration range"),
+    (np.full(10, -2.0), 0.3, Scale.RAW, DegenerateDataError, "all observations are identical"),
+    (np.full(10, 2.0), 0.3, Scale.LN, DegenerateDataError, "all observations are identical"),
+    (_with(0.0), 0.3, Scale.LN, SupportError,
+     "positive-support KDE requires strictly positive data"),
+])
+def test_de_kde_refuses_bad_input(data, h, scale, error, message):
+    # one check layer: each bad input raises its typed error, and no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            de_kde(data, _bw(h, 50, scale))
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def _kde_rows_case(n, tag):
@@ -202,10 +231,9 @@ def test_kde_rows_bit_identical_alone_or_in_any_chunk(n):
         for b in range(a + 1, work.shape[0] + 1):
             part = _kde_entropy_rows(work[a:b].copy(), h[a:b], lower[a:b], upper[a:b])
             assert part.tobytes() == full[a:b].tobytes(), (a, b)
-    # the range of each row is the one entropy_range gives it alone
+    # the range of each row is the one range_bounds gives it alone
     for r in range(work.shape[0]):
-        rng = entropy_range(work[r], h[r], Support.REAL)
-        assert (rng.lower, rng.upper) == (lower[r], upper[r])
+        assert range_bounds(work[r], h[r]) == (lower[r], upper[r])
 
 
 def test_kde_rows_bit_identical_across_kernel_blocks(monkeypatch):
@@ -307,7 +335,7 @@ def _kde_window_bound(h, lower, upper):
 
 def _window_case_ln20000():
     x = substream("kde-window", "n20000").lognormal(1.0, 0.5, 20_000)
-    bw = select_bandwidth(FamilyId.GAMMA, fit_mle(FamilyId.GAMMA, x), x)
+    bw = select_bandwidth(fit_mle(FamilyId.GAMMA, x), x)
     work, h = np.log(x)[None, :], np.array([bw.h])
     return (work, h) + range_bounds(work, h)
 
@@ -378,10 +406,10 @@ def test_kde_rows_nonfinite_sample_is_quadrature_error(bad):
         _kde_entropy_rows(work, h, lower, upper)
 
 
-def _de_kde_oracle(data, bw, support):
+def _de_kde_oracle(data, bw):
     """de_kde's integral by the adaptive integrator at tol 1e-12."""
-    working = np.log(data) if support is Support.POSITIVE else data
-    shift = float(np.mean(working)) if support is Support.POSITIVE else 0.0
+    working = np.log(data) if bw.scale is Scale.LN else data
+    shift = float(np.mean(working)) if bw.scale is Scale.LN else 0.0
     norm = 1.0 / (working.size * bw.h * math.sqrt(2.0 * math.pi))
 
     def integrand(pts):
@@ -389,7 +417,7 @@ def _de_kde_oracle(data, bw, support):
         t = np.exp(-0.5 * z * z).sum(axis=1) * norm
         return -xlogy(t, t)
 
-    return integrate(integrand, entropy_range(data, bw.h, support), tol=1e-12) + shift
+    return integrate(integrand, *range_bounds(working, bw.h), tol=1e-12) + shift
 
 
 @pytest.mark.parametrize("family,data_model", [
@@ -399,19 +427,18 @@ def _de_kde_oracle(data, bw, support):
     (FamilyId.NORMAL, FittedModel(FamilyId.CAUCHY, (0.0, 1.0))),
 ])
 def test_fixed_rule_de_kde_matches_adaptive_oracle(family, data_model):
-    support = get_family(family).support
     for n in (50, 100, 500):
         for i in range(3):
             x = sample(data_model, n, substream("kde-oracle", family.value, n, i))
-            bw = select_bandwidth(family, fit_mle(family, x), x)
-            assert abs(de_kde(x, bw, support) - _de_kde_oracle(x, bw, support)) <= 1e-8
+            bw = select_bandwidth(fit_mle(family, x), x)
+            assert abs(de_kde(x, bw) - _de_kde_oracle(x, bw)) <= 1e-8
 
 
 def test_fixed_rule_de_kde_matches_adaptive_oracle_large_ln_space():
     x = substream("kde-oracle", "n20000").lognormal(1.0, 0.5, 20_000)
-    bw = select_bandwidth(FamilyId.GAMMA, fit_mle(FamilyId.GAMMA, x), x)
-    value = de_kde(x, bw, Support.POSITIVE)
-    assert abs(value - _de_kde_oracle(x, bw, Support.POSITIVE)) <= 1e-8
+    bw = select_bandwidth(fit_mle(FamilyId.GAMMA, x), x)
+    value = de_kde(x, bw)
+    assert abs(value - _de_kde_oracle(x, bw)) <= 1e-8
 
 
 # --------------------------------------------------------------------------
@@ -420,42 +447,42 @@ def test_fixed_rule_de_kde_matches_adaptive_oracle_large_ln_space():
 
 def test_ml_bias_values():
     n50 = FittedModel(FamilyId.EXPONENTIAL, (2.0,))
-    assert ml_entropy_bias(FamilyId.EXPONENTIAL, n50, 50) == pytest.approx(-0.01)
+    assert ml_entropy_bias(n50, 50) == pytest.approx(-0.01)
     lap = FittedModel(FamilyId.LAPLACE, (0.0, 1.0))
-    assert ml_entropy_bias(FamilyId.LAPLACE, lap, 100) == pytest.approx(-0.005)
+    assert ml_entropy_bias(lap, 100) == pytest.approx(-0.005)
     norm = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     # exact digamma form at n=50: 0.5 (psi(24.5) - ln 25) = -0.0203749...
-    val = ml_entropy_bias(FamilyId.NORMAL, norm, 50)
+    val = ml_entropy_bias(norm, 50)
     assert val == pytest.approx(0.5 * (float(digamma(24.5)) - math.log(25.0)), abs=1e-15)
     assert val == pytest.approx(-0.0203749, abs=5e-7)
     gam = FittedModel(FamilyId.GAMMA, (3.0, 1.0))
     expected = 1.0 / (2 * 50 * 3.0) + ((1 - 3.0) / (2 * 50)) * (1 - 2.0 * (math.pi**2 / 6 - 1.25))
-    assert ml_entropy_bias(FamilyId.GAMMA, gam, 50) == pytest.approx(expected, abs=1e-12)
+    assert ml_entropy_bias(gam, 50) == pytest.approx(expected, abs=1e-12)
 
 
 def test_ml_bias_unsupported_family():
     with pytest.raises(InvalidParameterError):
-        ml_entropy_bias(FamilyId.LOGNORMAL, FittedModel(FamilyId.LOGNORMAL, (0.0, 1.0)), 50)
+        ml_entropy_bias(FittedModel(FamilyId.LOGNORMAL, (0.0, 1.0)), 50)
 
 
 def test_kde_smoothing_bias_values():
     # normal: h^2/(2 sigma^2) - W/(4 sqrt(pi) n h) + 1/(2n)
     m = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
-    val = kde_smoothing_bias(FamilyId.NORMAL, m, h=0.3, n=100, width=9.0)
+    val = kde_smoothing_bias(m, h=0.3, n=100, width=9.0)
     expected = 0.045 - 9.0 / (4 * math.sqrt(math.pi) * 100 * 0.3) + 0.005
     assert val == pytest.approx(expected, abs=1e-12)
     assert val == pytest.approx(0.007686, abs=5e-7)
     # ln-exponential smoothing term +h^2/2 (Fisher information 1)
     e = FittedModel(FamilyId.EXPONENTIAL, (1.0,))
-    v = kde_smoothing_bias(FamilyId.EXPONENTIAL, e, h=0.3, n=10**9, width=9.0)
+    v = kde_smoothing_bias(e, h=0.3, n=10**9, width=9.0)
     assert v == pytest.approx(0.045, abs=1e-7)
     # ln-gamma: +(h^2/2) alpha
     g = FittedModel(FamilyId.GAMMA, (3.0, 2.0))
-    v = kde_smoothing_bias(FamilyId.GAMMA, g, h=0.2, n=10**9, width=9.0)
+    v = kde_smoothing_bias(g, h=0.2, n=10**9, width=9.0)
     assert v == pytest.approx(0.02 * 3.0, abs=1e-7)
     # laplace: +h^2/(2 b^2)
     l = FittedModel(FamilyId.LAPLACE, (0.0, 0.5))
-    v = kde_smoothing_bias(FamilyId.LAPLACE, l, h=0.2, n=10**9, width=9.0)
+    v = kde_smoothing_bias(l, h=0.2, n=10**9, width=9.0)
     assert v == pytest.approx(0.08, abs=1e-7)
 
 
@@ -463,7 +490,7 @@ def test_variance_term_vanishes_as_nh_grows():
     m = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     smooth_only = 0.3**2 / 2.0
     # W/(4 sqrt(pi) n h) is about 4e-8 at n = 1e8, so go to n = 1e10
-    vals = [kde_smoothing_bias(FamilyId.NORMAL, m, h=0.3, n=n, width=9.0)
+    vals = [kde_smoothing_bias(m, h=0.3, n=n, width=9.0)
             for n in (10**2, 10**4, 10**10)]
     gaps = [abs(v - smooth_only) for v in vals]
     assert gaps[0] > gaps[1] > gaps[2]
@@ -484,6 +511,6 @@ def test_integral_estimator_empirical_bias_characterization():
     errs = np.empty(reps)
     for r in range(reps):
         x = substream("char-bias", r).normal(0.0, 1.0, n)
-        errs[r] = de_kde(x, _bw(h, n), Support.REAL) - HALF_LN_2PIE
+        errs[r] = de_kde(x, _bw(h, n)) - HALF_LN_2PIE
     se = errs.std(ddof=1) / math.sqrt(reps)
     assert abs(errs.mean() - 0.0646) < 4.0 * math.hypot(se, 0.0016)
