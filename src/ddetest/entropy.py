@@ -266,7 +266,9 @@ def kde_smoothing_bias(fitted: FittedModel, h: float, n: int, width: float) -> f
     gained by smoothing with the Gaussian kernel.  The last two terms are
     -½∫_R Var f̂ / f_h with Var f̂ ≈ (f_h ∫K²/h - f_h²)/n.  ``width`` is the
     width W of the range R that ``de_kde`` integrates over: upper - lower of
-    ``quadrature.range_bounds`` on the working-scale data.
+    ``quadrature.range_bounds`` on the working-scale data.  n < 2 (as in
+    ``ml_entropy_bias``), and an h or width that is not finite and > 0,
+    raise ``InvalidParameterError``.
 
     The expansion is first-order: for non-normal nulls it overstates the
     bias at n in the hundreds.  At n = 100 with h = 1.06 ŝ n^-1/5 on the
@@ -277,8 +279,14 @@ def kde_smoothing_bias(fitted: FittedModel, h: float, n: int, width: float) -> f
     fam = get_family(fitted.family)
     if fam.kde_smoothing is None:
         raise InvalidParameterError(f"no KDE smoothing-bias form for {fam.family_id.value}")
+    if n < 2:
+        raise InvalidParameterError("bias diagnostics need n >= 2")
+    if not math.isfinite(h):
+        raise InvalidParameterError(f"bandwidth must be finite, got {h}")
     if h <= 0.0:
         raise InvalidParameterError(f"bandwidth must be > 0, got {h}")
+    if not (math.isfinite(width) and width > 0.0):
+        raise InvalidParameterError(f"range width must be finite and > 0, got {width}")
     smoothing = fam.kde_smoothing(fitted.theta, h)
     variance = -_KERNEL_L2 * width / (2.0 * n * h) + 1.0 / (2.0 * n)
     return float(smoothing + variance)

@@ -46,6 +46,7 @@ invgaussian    (mu, lam)              mean mu, Var = mu^3/lam
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -485,8 +486,8 @@ def _in_blocks(f, k):
     """f(k) for an elementwise f that returns a tuple of arrays, run on at
     most _LIFT_BLOCK elements of k at a time, so that the allocator reuses
     the memory of the lift's (elements, 21) arrays.  Arrays as large as the
-    2400 shapes of a 40-row GG grid would make are handed back to the system
-    after each call and faulted in again: about 400 page faults per GG test."""
+    2944 shapes the profile table is built from would make are handed back
+    to the system after each call and faulted in again."""
     k = np.asarray(k, dtype=float)
     if k.size <= _LIFT_BLOCK:
         return f(k)
@@ -574,6 +575,96 @@ def _gamma_shape(s):
     return k
 
 
+def _exact_profile(s):
+    """(phi, k) at each s by the exact shape solve: k = k*(s) solves ln k -
+    psi(k) = s, and phi(s) = max_k [k ln k - k - ln Gamma(k) - k s] =
+    k ln k - k - ln Gamma(k) - k s at k*.  Where s <= 0 (a degenerate
+    sample) phi is -inf and k NaN; where the shape iteration does not
+    converge both are NaN."""
+    ok = s > 0.0
+    k = np.full(s.shape, np.nan)
+    k[ok] = _gamma_shape(s[ok])
+    return np.where(ok, _free_loglik(k) - k * s, -np.inf), k
+
+
+# The gamma profile phi(s) and its maximizer k*(s) = -phi'(s), tabulated in
+# t = ln s: Chebyshev pieces of width 0.5 on [-14, 9], each of degree 10,
+# hold phi(s) + t/2 and ln(k*(s) s), which are smooth and change slowly
+# across the range (k* s -> 1/2 as s -> 0 and -> 1 as s -> inf).  Past
+# degree 10 the fitted coefficients are below 5e-15, the exact path's own
+# rounding: more terms add rounding, not accuracy.
+_TABLE_FROM, _TABLE_TO, _TABLE_WIDTH = -14.0, 9.0, 0.5
+_TABLE_PIECES = round((_TABLE_TO - _TABLE_FROM) / _TABLE_WIDTH)
+_TABLE_DEGREE = 10
+_TABLE_NODES = 64  # Chebyshev nodes per piece the exact path is sampled at
+_TABLE_S = math.exp(_TABLE_FROM), math.exp(_TABLE_TO)  # the s the table covers
+
+
+@functools.cache
+def _profile_table():
+    """The table's (degree + 1, 3, pieces) Chebyshev coefficients, built on
+    the first call from the exact path: no data file, and no cost at import.
+
+    On piece i, x = 2(t - t_i)/0.5 - 1 runs over [-1, 1], and series 0, 1
+    and 2 are the expansions in x of phi(s) + t/2, of ln(k*(s) s) and of
+    the latter's derivative in x.  Each piece is the degree-10 least-squares
+    fit at its 64 first-kind Chebyshev nodes, where the T_j are orthogonal,
+    so the fit is one cosine transform of the exact path's values.  Against
+    the exact path on 20 000 log-uniform s, phi is within 1.5e-14 absolute,
+    k within 1e-14 relative and dk/ds within 2e-12 relative (measured:
+    8.9e-15, 7.9e-15 and 5.8e-13)."""
+    theta = math.pi * (np.arange(_TABLE_NODES) + 0.5) / _TABLE_NODES
+    x = np.cos(theta)  # the nodes in x, where the T_j are cos(j theta)
+    t = _TABLE_FROM + _TABLE_WIDTH * (np.arange(_TABLE_PIECES)[:, None] + 0.5 * (1.0 + x))
+    s = np.exp(t)
+    phi, k = _exact_profile(s.ravel())
+    values = np.stack([phi.reshape(t.shape) + 0.5 * t, np.log(k.reshape(t.shape) * s)])
+    cheb = values @ np.cos(np.outer(np.arange(_TABLE_DEGREE + 1), theta)).T * (2.0 / _TABLE_NODES)
+    cheb[..., 0] *= 0.5
+    slope = np.zeros_like(cheb[1])
+    slope[:, :-1] = np.polynomial.chebyshev.chebder(cheb[1], axis=1)
+    table = np.stack([cheb[0], cheb[1], slope]).transpose(2, 0, 1).copy()
+    table.flags.writeable = False  # every caller shares the cached array
+    return table
+
+
+def _tabulated_profile(s, slopes):
+    """``_shape_profile`` at each s in the table's range, by one Clenshaw
+    pass over the series it needs.  Each element's value is its own."""
+    t = np.log(s)
+    w = (t - _TABLE_FROM) / _TABLE_WIDTH
+    piece = np.minimum(np.maximum(np.floor(w), 0.0), _TABLE_PIECES - 1)
+    c = _profile_table()[:, :3 if slopes else 1, piece.astype(np.intp)]
+    x = 2.0 * (w - piece) - 1.0
+    x2 = 2.0 * x
+    b1, b2 = c[-1], 0.0
+    for cj in c[-2:0:-1]:
+        b0 = x2 * b1
+        b0 -= b2
+        b0 += cj
+        b1, b2 = b0, b1
+    value = c[0] + x * b1 - b2
+    phi = value[0] - 0.5 * t
+    if not slopes:
+        return (phi,)
+    k = np.exp(value[1]) / s
+    return phi, k, k * (value[2] * (2.0 / _TABLE_WIDTH) - 1.0) / s
+
+
+def _shape_profile(s, slopes=True):
+    """(phi, k, dk/ds) at each s, or (phi,) alone without ``slopes``: from
+    the table where e^-14 <= s <= e^9, and from the exact path
+    (``_exact_profile``, with dk/ds = k / (1 - k psi'(k))) elsewhere."""
+    on = (s >= _TABLE_S[0]) & (s <= _TABLE_S[1])
+    if on.all():
+        return _tabulated_profile(s, slopes)
+    out = np.empty((3 if slopes else 1,) + s.shape)
+    out[:, on] = _tabulated_profile(s[on], slopes)
+    phi, k = _exact_profile(s[~on])
+    out[:, ~on] = (phi, k, k / _shape_gap(k)[1]) if slopes else (phi,)
+    return tuple(out)
+
+
 _BLOCK = 1 << 16  # elements of p dev built at once
 
 
@@ -601,41 +692,35 @@ def _exp_blocks(dev, p):
             yield at, e, shift
 
 
-def _gamma_profile(dev, ln_p):
-    """Gamma MLE of y = x^p at each ln p of a (rows, k) array, given the
+def _log_mean_exp(dev, ln_p):
+    """lme = ln mean(e^{p dev}) at each ln p of a (rows, k) array, given the
     (rows, n) deviations dev = ln x - mean(ln x).
 
-    Returns (rows, k) arrays (loglik, k, lme): the generalized-gamma mean
-    log-likelihood maximized over (a, d), less mean(ln x), NaN where the shape
-    iteration does not converge; the shape k of y; and lme = ln mean(e^{p dev}).
-    With s = lme - p mean(dev), loglik = ln p - k s + k ln k - k - ln Gamma(k).
-    The slopes of loglik in ln p also need ``_profile_moments`` at the same
-    points (see ``_profile_slopes``)."""
+    The gamma MLE of y = x^p then has s = ln mean(y) - mean(ln y) = lme - p
+    mean(dev), and the generalized-gamma mean log-likelihood maximized over
+    (a, d), less mean(ln x), is ln p + phi(s) (see ``_exact_profile``)."""
     p = np.exp(ln_p)
     lme = np.empty(p.shape)
     for at, e, shift in _exp_blocks(dev, p):
         lme[at] = shift + np.log1p(_mean(e))
-    s = lme - p * _mean(dev)[:, None]
-    ok = s > 0.0
-    k = np.full(p.shape, np.nan)
-    k[ok] = _gamma_shape(s[ok])
-    return np.where(ok, ln_p - k * s + _free_loglik(k), -np.inf), k, lme
+    return lme
 
 
 def _profile_moments(dev, ln_p):
-    """The p-weighted moments of dev at each ln p of a (rows, k) array, from
-    the same blocks as ``_gamma_profile``.
+    """``_log_mean_exp``'s lme, bit for bit, and the p-weighted moments of
+    dev, from one pass over the same blocks.
 
-    Returns (rows, k) arrays (g, v): under weights w ~ e^{p dev},
+    Returns (rows, k) arrays (lme, g, v): under weights w ~ e^{p dev},
     g = p (E_w[dev] - mean(dev)) and v = p^2 Var_w(dev).  With s = lme -
     p mean(dev), g and g + v are the first two derivatives of s in ln p."""
     p = np.exp(ln_p)
     mean_dev = _mean(dev)
-    m1, var = np.empty(p.shape), np.empty(p.shape)
-    for at, e, _ in _exp_blocks(dev, p):
+    lme, m1, var = np.empty(p.shape), np.empty(p.shape), np.empty(p.shape)
+    for at, e, shift in _exp_blocks(dev, p):
         rows = at[0]
         d, mean_d = dev[rows, None, :], mean_dev[rows, None]
         m0 = _mean(e)
+        lme[at] = shift + np.log1p(m0)
         # with w = 1 + e, E_w[dev] - mean(dev) follows from sum(dev w) =
         # sum(dev) + sum(dev e), sum(dev) = n mean(dev): nothing cancels at small p
         m1[at] = mu = (_mean(d * e) - mean_d * m0) / (1.0 + m0)
@@ -644,25 +729,17 @@ def _profile_moments(dev, ln_p):
         e += 1.0
         d *= e
         var[at] = _mean(d) / (1.0 + m0)
-    return p * m1, p * p * var
-
-
-def _profile_slopes(k, g, v):
-    """First and second derivatives in u = ln p of ``_gamma_profile``'s
-    loglik, from its k and ``_profile_moments``' g and v.  loglik is
-    stationary in k at the solved shape, so the score is 1 - k g; the
-    curvature is -(dk/du) g - k (g + v), with dk/du = k g / (d gap/d ln k)
-    from ln k - psi(k) = s."""
-    return 1.0 - k * g, -k * g * g / _shape_gap(k)[1] - k * (g + v)
+    return lme, p * m1, p * p * var
 
 
 def _fit_gamma(rows):
-    # the p = 1 column of the generalized-gamma profile, for every row at once
+    # the p = 1 column of the generalized-gamma profile, by the exact shape solve
     lx = np.log(rows)
-    ll, a = _gamma_profile(lx - _mean(lx)[:, None], np.zeros((rows.shape[0], 1)))[:2]
-    ll, a = ll[:, 0], a[:, 0]
+    dev = lx - _mean(lx)[:, None]
+    lme = _log_mean_exp(dev, np.zeros((rows.shape[0], 1)))[:, 0]
+    phi, a = _exact_profile(lme - _mean(dev))
     failures = first_failures(
-        row_failures(ll == -np.inf,
+        row_failures(phi == -np.inf,
                      lambda i: DegenerateDataError("log-moment gap is non-positive")),
         row_failures(np.isnan(a), lambda i: FitError("gamma shape iteration did not converge")),
         row_failures(a > 1e10, lambda i: FitError(
@@ -694,6 +771,10 @@ _GG_MAX_STEPS = 40  # bisection alone shrinks 2 grid cells (0.281) below 1e-10 i
 def _fit_gengamma(rows):
     """Profile likelihood in p: for fixed p, x^p ~ Gamma(d/p, a^p), so (a, d)
     follow from the gamma MLE of x^p (Prentice 1974; Noufaily & Jones 2013).
+    The profile is ln p + phi(s), with s = ln mean(x^p) - p mean(ln x) and
+    phi the gamma log-likelihood maximized over the shape, which the grid
+    and the Newton steps read from a table (``_shape_profile``) instead of
+    solving for the shape at each point.
 
     Every row scans the whole fixed ln p grid over [0.05, 200], so no local
     maximum away from the global one traps it; a maximum on the grid's edge is
@@ -703,41 +784,55 @@ def _fit_gengamma(rows):
     of its score; a Newton step that leaves the closed bracket, or one taken
     where the profile is not concave, is replaced by the bracket's midpoint.
     A row whose step is at most 1e-10 in ln p takes it and stops, so its fit
-    does not depend on the other rows.  Each row keeps its last point, or its
-    grid point if that is strictly higher: near the root the profile is flat
-    to rounding, so the highest of the Newton points is as often an earlier,
-    less converged one."""
+    does not depend on the other rows.  One exact shape solve at each row's
+    last point and at its best grid point then gives both log-likelihoods;
+    the row keeps its last point, or its grid point if that is strictly
+    higher (near the root the profile is flat to rounding, so the highest of
+    the Newton points is as often an earlier, less converged one), and its
+    (a, d) come from the exact shape there."""
     lx = np.log(rows)
     m = _mean(lx)
     dev = lx - m[:, None]
+    mean_dev = _mean(dev)
     grid = np.broadcast_to(_GG_LN_P, (rows.shape[0], _GG_LN_P.size))
-    ll, k, lme = _gamma_profile(dev, grid)
+    lme = _log_mean_exp(dev, grid)
+    ll = grid + _shape_profile(lme - np.exp(grid) * mean_dev[:, None], slopes=False)[0]
     best = np.argmax(ll, axis=1)
     at = np.arange(rows.shape[0]), best
     stuck = np.isnan(ll).any(axis=1)
     nowhere = ~np.isfinite(ll.max(axis=1))
     edge = (best == 0) | (best == _GG_LN_P.size - 1)
-    ll_hat, ln_p, k_hat, lme_hat = (col[at] for col in (ll, grid, k, lme))
+    ln_p, lme_hat = grid[at], lme[at]
     live = np.flatnonzero(~(stuck | nowhere | edge))  # rows that failed stay on the grid
     lo, hi = _GG_LN_P[best[live] - 1], _GG_LN_P[best[live] + 1]
-    u, k_u = ln_p[live], k_hat[live]
+    u = ln_p[live]
+    # lme, g and v at each live row's last point: its grid point, then its Newton points
+    lme_u, g, v = (col[:, 0] for col in _profile_moments(dev[live], u[:, None]))
     for _ in range(_GG_MAX_STEPS):
-        # the slopes at each live row's last point: its grid point, then its Newton points
-        g, v = (col[:, 0] for col in _profile_moments(dev[live], u[:, None]))
-        s, c = _profile_slopes(k_u, g, v)
-        lo, hi = np.where(s > 0.0, u, lo), np.where(s < 0.0, u, hi)
-        newton = u - s / c
-        u_new = np.where((c < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
+        phi, k, dk = _shape_profile(lme_u - np.exp(u) * mean_dev[live])
+        stuck[live] |= np.isnan(phi)
+        # loglik is stationary in k at k*(s), so the score is 1 - k g and the
+        # curvature -(dk/ds) g^2 - k (g + v)
+        score, curv = 1.0 - k * g, -dk * g * g - k * (g + v)
+        lo, hi = np.where(score > 0.0, u, lo), np.where(score < 0.0, u, hi)
+        newton = u - score / curv
+        u_new = np.where((curv < 0.0) & (lo <= newton) & (newton <= hi), newton, 0.5 * (lo + hi))
         done = np.abs(u_new - u) <= _GG_TOL
         u = u_new
-        ll_u, k_u, lme_u = (col[:, 0] for col in _gamma_profile(dev[live], u[:, None]))
-        stuck[live] |= np.isnan(ll_u)
-        ll_hat[live], ln_p[live], k_hat[live], lme_hat[live] = ll_u, u, k_u, lme_u
-        live, lo, hi, u, k_u = (col[~done] for col in (live, lo, hi, u, k_u))
+        lme_u, g, v = (col[:, 0] for col in _profile_moments(dev[live], u[:, None]))
+        ln_p[live], lme_hat[live] = u, lme_u
+        live, lo, hi, u, lme_u, g, v = (col[~done] for col in (live, lo, hi, u, lme_u, g, v))
         if live.size == 0:
             break
-    on_grid = ll[at] > ll_hat  # a refined row keeps its grid point only if strictly higher
-    ln_p[on_grid], k_hat[on_grid], lme_hat[on_grid] = (col[at][on_grid] for col in (grid, k, lme))
+    # one exact solve at every row's last point and at its best grid point
+    both_ln_p = np.stack([ln_p, grid[at]])
+    phi, (k_hat, k_grid) = _exact_profile(
+        np.stack([lme_hat, lme[at]]) - np.exp(both_ln_p) * mean_dev)
+    ll_hat, ll_grid = both_ln_p + phi
+    stuck |= np.isnan(ll_hat) | np.isnan(ll_grid)
+    on_grid = ll_grid > ll_hat  # a refined row keeps its grid point only if strictly higher
+    ln_p[on_grid], k_hat[on_grid], lme_hat[on_grid] = (
+        col[on_grid] for col in (grid[at], k_grid, lme[at]))
     p = np.exp(ln_p)
     # only rows that pass every grid check are refined, so one list of shape
     # failures keeps the order of the checks

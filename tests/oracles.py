@@ -6,7 +6,11 @@ integrands.  ``_de_ml_quadrature`` integrates a fitted model's own density:
 the oracle the closed-form entropies are checked against, over a range that
 ``WORKING_MOMENTS`` places.  ``kde_pdf`` is the Gaussian KDE summed over
 every sample, and ``mean_log_likelihood`` the mean log-density of a sample
-under a model, which the fit tests maximize.
+under a model, which the fit tests maximize.  ``gamma_shape`` and
+``gamma_profile`` solve the gamma shape equation with scipy's root finder
+and special functions, the oracle of the generalized-gamma fit's table, and
+``profile_slopes`` gives that fit's score and curvature in ln p from an
+exactly solved shape.
 """
 from __future__ import annotations
 
@@ -14,7 +18,8 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import digamma, polygamma
+from scipy.optimize import brentq
+from scipy.special import digamma, gammaln, polygamma
 
 from ddetest.errors import InvalidParameterError
 from ddetest.families import FamilyId, FittedModel, Support, log_pdf
@@ -55,6 +60,31 @@ def mean_log_likelihood(model: FittedModel, data) -> float:
     """Mean log-likelihood of the sample under the model."""
     lp = log_pdf(model, np.asarray(data, dtype=float))
     return float(np.mean(lp))
+
+
+def gamma_shape(s):
+    """k*(s), the root of ln k - psi(k) = s for each s > 0, by Brent's method.
+
+    ln k - psi(k) lies between 1/(2k) and 1/k, so the root lies between
+    1/(2s) and 1/s."""
+    return np.array([brentq(lambda k: math.log(k) - digamma(k) - si, 0.4 / si, 1.1 / si,
+                            xtol=1e-300, rtol=4.0 * np.finfo(float).eps, maxiter=200)
+                     for si in np.asarray(s, dtype=float)])
+
+
+def gamma_profile(s, k):
+    """phi(s) = k ln k - k - ln Gamma(k) - k s at the shape k = k*(s)."""
+    return k * np.log(k) - k - gammaln(k) - k * s
+
+
+def profile_slopes(k, g, v):
+    """First and second derivatives in u = ln p of the generalized-gamma
+    profile log-likelihood, from the shape k solved at s(u) and the
+    p-weighted moments g and v of ``families._profile_moments``.  The
+    loglik is stationary in k at the solved shape, so the score is 1 - k g;
+    the curvature is -(dk/du) g - k (g + v), with dk/du = k g / (1 - k
+    psi'(k)) from ln k - psi(k) = s."""
+    return 1.0 - k * g, -k * g * g / (1.0 - k * polygamma(1, k)) - k * (g + v)
 
 
 def _working_normal(th):

@@ -486,6 +486,27 @@ def test_kde_smoothing_bias_values():
     assert v == pytest.approx(0.08, abs=1e-7)
 
 
+@pytest.mark.parametrize("h, n, width, match", [
+    (0.3, 0, 9.0, "n >= 2"),
+    (0.3, 1, 9.0, "n >= 2"),
+    (float("nan"), 100, 9.0, "bandwidth must be finite"),
+    (float("inf"), 100, 9.0, "bandwidth must be finite"),
+    (0.0, 100, 9.0, "bandwidth must be > 0"),
+    (0.3, 100, float("nan"), "range width"),
+    (0.3, 100, float("inf"), "range width"),
+    (0.3, 100, 0.0, "range width"),
+    (0.3, 100, -9.0, "range width"),
+])
+def test_kde_smoothing_bias_rejects_bad_inputs(h, n, width, match):
+    # a typed error that names the input, never a bare ZeroDivisionError, a
+    # warning or a NaN
+    m = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=match):
+            kde_smoothing_bias(m, h, n, width)
+
+
 def test_variance_term_vanishes_as_nh_grows():
     m = FittedModel(FamilyId.NORMAL, (0.0, 1.0))
     smooth_only = 0.3**2 / 2.0

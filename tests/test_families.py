@@ -22,6 +22,7 @@ from ddetest.streams import _PrefixStreams
 
 from oracles import (
     DEFAULT_TOL, WORKING_MOMENTS, _de_ml_quadrature, integrate, mean_log_likelihood,
+    profile_slopes,
 )
 
 HALF_LN_2PIE = 0.5 * math.log(2.0 * math.pi * math.e)
@@ -349,10 +350,11 @@ def _log_deviations(rows):
 
 
 def _profile(dev, ln_p):
-    """The GG profile's log-likelihood, score and curvature in ln p."""
-    ll, k, _ = families._gamma_profile(dev, ln_p)
-    g, v = families._profile_moments(dev, ln_p)
-    return (ll, *families._profile_slopes(k, g, v))
+    """The GG profile's log-likelihood, score and curvature in ln p, and its
+    shape, by the exact shape solve."""
+    lme, g, v = families._profile_moments(dev, ln_p)
+    phi, k = families._exact_profile(lme - np.exp(ln_p) * families._mean(dev)[:, None])
+    return (ln_p + phi, *profile_slopes(k, g, v), k)
 
 
 _PROFILE_SAMPLES = [
@@ -373,10 +375,9 @@ def test_gengamma_profile_slopes_match_differences(x, shifted):
     # series branch at k >= 20
     dev = _log_deviations(x)
     u = families._GG_LN_P[None, :]
-    k = families._gamma_profile(dev, u)[1]
+    _, score, curv, k = _profile(dev, u)
     assert ((np.exp(u) * dev.max()).max() > 500.0) == shifted
     assert (k >= families._SERIES_FROM).any()
-    _, score, curv = _profile(dev, u)
 
     def diff(j, h):
         d = lambda h: (_profile(dev, u + h)[j] - _profile(dev, u - h)[j]) / (2.0 * h)
@@ -401,10 +402,13 @@ def _bootstrap_rows(rows, n):
     pytest.param(_bootstrap_rows(3, 3000), id="long-rows"),
 ])
 def test_gengamma_profile_bits_do_not_depend_on_the_block_layout(rows):
-    # the grid call equals its one-column and one-row calls bit for bit
+    # the grid call equals its one-column and one-row calls bit for bit, and
+    # the moments pass's lme is the grid pass's
     dev = _log_deviations(rows)
     grid = np.broadcast_to(families._GG_LN_P, (rows.shape[0], families._GG_LN_P.size))
-    for f in (families._gamma_profile, families._profile_moments):
+    lme = families._log_mean_exp(dev, grid)
+    assert lme.tobytes() == families._profile_moments(dev, grid)[0].tobytes()
+    for f in (lambda d, u: (families._log_mean_exp(d, u),), families._profile_moments):
         whole = f(dev, grid)
         by_col = [f(dev, grid[:, j:j + 1]) for j in range(grid.shape[1])]
         by_row = [f(dev[i:i + 1], grid[i:i + 1]) for i in range(grid.shape[0])]
@@ -426,36 +430,47 @@ def test_gengamma_fit_memory_stays_linear_in_n():
     assert peak < 2_000_000
 
 
+def _gg_rows(theta, n, rows=60):
+    fitted = FittedModel(FamilyId.GENGAMMA, theta)
+    return np.array([sample(fitted, n, substream("gg", n, r)) for r in range(rows)])
+
+
 def test_gengamma_fit_lands_on_the_profile_score_root():
-    # bootstrap rows of the faithful fit at three sizes: each fitted row's p
-    # is a root of its profile score, not a nearby point the refinement left
-    # behind or the grid point it started from; 1e-13 allows for the
-    # profile's own rounding
-    fitted_rows = 0
-    for n in (30, 100, 272):
-        rows = _bootstrap_rows(60, n)
+    # bootstrap rows of the faithful fit at three sizes, and small samples of
+    # GG(2, 8, 1) and GG(1, 0.5, 0.3), whose profiles are the flattest: each
+    # fitted row's p is a root of its exact profile score, although the
+    # Newton steps read the shape from the table, and not a nearby point the
+    # refinement left behind or the grid point it started from; 1e-13
+    # allows for the profile's own rounding
+    groups = [_bootstrap_rows(60, n) for n in (30, 100, 272)]
+    groups += [_gg_rows(theta, n) for theta in ((2.0, 8.0, 1.0), (1.0, 0.5, 0.3)) for n in (10, 30)]
+    fitted_rows = []
+    for rows in groups:
         theta, failures = families._fit_rows(FamilyId.GENGAMMA, rows)
         ok = np.array([i not in failures for i in range(len(rows))])
         u = np.log(theta[2][ok])[:, None] + np.log1p([[0.0, -1e-6, 1e-6]])
-        ll, score, _ = _profile(_log_deviations(rows[ok]), u)
+        ll, score, _, _ = _profile(_log_deviations(rows[ok]), u)
         assert np.abs(score[:, 0]).max() <= 1e-9
         assert (ll[:, :1] >= ll[:, 1:] - 1e-13).all()
-        fitted_rows += int(ok.sum())
-    assert fitted_rows >= 120
+        fitted_rows.append(int(ok.sum()))
+    assert sum(fitted_rows[:3]) >= 120 and min(fitted_rows[3:]) >= 10
 
 
 def test_gengamma_lone_fit_takes_few_profile_calls(monkeypatch):
-    # the grid scan, then a few Newton steps rather than a crawl along the bracket
+    # one exp pass over the sample for the grid scan, then one at the best
+    # grid point and one per Newton point, a few rather than a crawl along
+    # the bracket
     calls = []
 
-    def counted(dev, ln_p):
-        calls.append(ln_p.shape)
-        return real(dev, ln_p)
+    def counted(dev, p):
+        calls.append(p.shape)
+        return real(dev, p)
 
-    real = families._gamma_profile
-    monkeypatch.setattr(families, "_gamma_profile", counted)
+    real = families._exp_blocks
+    monkeypatch.setattr(families, "_exp_blocks", counted)
     fit_mle(FamilyId.GENGAMMA, load_dataset("faithful-hardle").values)
-    assert calls[0] == (1, families._GG_LN_P.size) and len(calls) <= 10
+    assert calls[0] == (1, families._GG_LN_P.size)
+    assert set(calls[1:]) == {(1, 1)} and len(calls) - 1 <= 8
 
 
 @pytest.mark.parametrize("theta", [

@@ -2,18 +2,23 @@
 
 The package computes ln k - psi(k), 1 - k psi'(k), k ln k - k - ln Gamma(k)
 and the ln-gamma kurtosis 3 + psi'''/psi'^2 from the recurrence and
-asymptotic series; ``scipy.special`` is the oracle here and is used by the
-tests only.  Each check allows a few dozen roundings of the oracle's own
+asymptotic series, and tabulates the gamma profile phi(s) and shape k*(s)
+for the generalized-gamma fit; ``scipy`` is the oracle here and is used by
+the tests only.  Each check allows a few dozen roundings of the oracle's own
 terms, since the oracle's direct differences cancel where the package's
 forms do not.
 """
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.special import digamma, gammaln, polygamma
 
 from ddetest import families
+from oracles import gamma_profile, gamma_shape
 
 EPS = np.finfo(float).eps
 ULPS = 32.0  # allowed error, in roundings of the oracle's largest term
@@ -104,3 +109,82 @@ def test_exact_values_at_one():
     # ln 1 - psi(1) is Euler's constant; 1 ln 1 - 1 - ln Gamma(1) = -1
     assert families._gap(1.0) == pytest.approx(np.euler_gamma, rel=4 * EPS)
     assert families._free_loglik(1.0) == pytest.approx(-1.0, rel=4 * EPS)
+
+
+# the table's stated error against the exact path: phi absolute, k and
+# dk/ds relative
+TABLE_ERROR = {"phi": 1.5e-14, "k": 1e-14, "dk": 2e-12}
+# 20 000 log-uniform s across the table's range, and every piece boundary
+TABLE_S = np.concatenate([
+    np.exp(np.random.default_rng(29).uniform(families._TABLE_FROM, families._TABLE_TO, 20_000)),
+    np.exp(families._TABLE_FROM + families._TABLE_WIDTH * np.arange(families._TABLE_PIECES + 1)),
+])
+
+
+def test_profile_table_matches_exact_path_and_scipy_oracle():
+    s = TABLE_S
+    phi, k, dk = families._shape_profile(s)
+    exact_phi, exact_k = families._exact_profile(s)
+    exact_dk = exact_k / families._shape_gap(exact_k)[1]
+    assert np.abs(phi - exact_phi).max() <= TABLE_ERROR["phi"]
+    assert np.abs(k / exact_k - 1.0).max() <= TABLE_ERROR["k"]
+    assert np.abs(dk / exact_dk - 1.0).max() <= TABLE_ERROR["dk"]
+    # against scipy: the stated error plus ULPS roundings of the oracle's
+    # terms.  ln k - psi(k) = s and k ln k - k - ln Gamma(k) cancel to about
+    # 1/(2k) at large k, so the oracle itself is loose at small s
+    oracle_k = gamma_shape(s)
+    dgap = 1.0 - oracle_k * polygamma(1, oracle_k)
+    scales = {
+        "phi": (np.abs(oracle_k * np.log(oracle_k)) + oracle_k + np.abs(gammaln(oracle_k))
+                + oracle_k * s),
+        "k": (np.abs(np.log(oracle_k)) + np.abs(digamma(oracle_k)) + s) / np.abs(dgap),
+        "dk": (1.0 + oracle_k * polygamma(1, oracle_k)) / np.abs(dgap),
+    }
+    errors = {
+        "phi": np.abs(phi - gamma_profile(s, oracle_k)),
+        "k": np.abs(k / oracle_k - 1.0),
+        "dk": np.abs(dk * dgap / oracle_k - 1.0),  # the oracle's dk/ds is k / dgap
+    }
+    for name, scale in scales.items():
+        err = (errors[name] - TABLE_ERROR[name]) / (EPS * scale)
+        assert err.max() <= ULPS, (name, s[np.argmax(err)])
+
+
+def test_profile_table_values_are_their_own():
+    # an element's (phi, k, dk/ds) is bit-identical alone and inside any
+    # array, in any order or shape, with or without the slopes
+    s = TABLE_S[:2000]
+    full = families._shape_profile(s)
+    assert np.array_equal(families._shape_profile(s, slopes=False)[0], full[0])
+    grid = families._shape_profile(s.reshape(-1, 40))
+    order = np.random.default_rng(6).permutation(s.size)
+    shuffled = families._shape_profile(s[order])
+    for t, col in enumerate(full):
+        assert np.array_equal(grid[t].ravel(), col)
+        assert np.array_equal(shuffled[t], col[order])
+    for i in range(0, s.size, 97):
+        alone = families._shape_profile(s[i:i + 1])
+        assert all(a[0] == col[i] for a, col in zip(alone, full))
+
+
+def test_profile_outside_the_table_is_the_exact_path():
+    # s beyond [e^-14, e^9], s <= 0 and NaN take the exact path's bits,
+    # alone and mixed with s inside the table
+    off = np.array([1e-12, 1e-7, 0.99 * families._TABLE_S[0], 1.01 * families._TABLE_S[1],
+                    1e5, 1e12, 0.0, -1.0, np.nan])
+    exact_phi, exact_k = families._exact_profile(off)
+    exact_dk = exact_k / families._shape_gap(exact_k)[1]
+    assert (exact_phi[-3:] == -np.inf).all() and np.isnan(exact_k[-3:]).all()
+    mixed = np.insert(off, [2, 5], [1e-3, 2.0])
+    for s, at in ((off, slice(None)), (mixed, np.r_[0:2, 3:6, 7:11])):
+        for got, want in zip(families._shape_profile(s), (exact_phi, exact_k, exact_dk)):
+            assert got[at].tobytes() == want.tobytes()
+
+
+def test_profile_table_is_built_on_first_use():
+    # importing the package builds no table, so the CLI starts no slower
+    code = ("import ddetest.cli, ddetest.families as f; "
+            "print(f._profile_table.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], capture_output=True,
+                         text=True, check=True, env=os.environ)
+    assert out.stdout.strip() == "0"
