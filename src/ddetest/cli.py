@@ -287,7 +287,7 @@ def _cmd_entropy(args) -> int:
         diag = None
         if get_family(args.null_family).kde_smoothing is not None:
             working = np.log(ds.values) if bw.scale is Scale.LN else ds.values
-            lower, upper = range_bounds(working, bw.h)
+            lower, upper = range_bounds(np.sort(working), bw.h)
             diag = kde_smoothing_bias(fitted, bw.h, ds.n, upper - lower)
         print(f"DE_KDE = {_fmt(est)} nats ({bw.scale.value} scale, "
               f"regime={bw.regime.value})")

@@ -17,14 +17,14 @@ a local file instead.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from importlib import resources
+from itertools import islice
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 
 FIXTURES = {
     "faithful-hardle": ("faithful_hardle.csv", "bundled fixture: Old Faithful waiting times (Härdle, n=272)"),
@@ -51,31 +51,31 @@ class Dataset:
 
 
 def _parse_text(text: str, column, source: str, name: str) -> Dataset:
-    lines = text.splitlines()
-    rows: list[tuple[int, list[str]]] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue  # blank lines are skipped, not errors
-        rows.append((lineno, line))
-    if not rows:
-        raise DataError(f"{source}: no data lines found")
+    """Parse one column of a whitespace- or comma-separated text file.
 
-    delimiter = "," if any("," in line for _, line in rows[:10]) else None
-    parsed: list[tuple[int, list[str]]] = []
-    for lineno, line in rows:
-        if delimiter:
-            cells = next(csv.reader(io.StringIO(line)))
-        else:
-            cells = line.split()
-        parsed.append((lineno, [c.strip() for c in cells]))
+    Blank lines are skipped.  A file is comma-separated if one of its first
+    10 data lines holds a comma; each of its lines is read by its own
+    ``csv.reader``, so a quote left open ends with its line, and each cell
+    is stripped.  Other files split each line on whitespace.  A first line
+    that is not all numbers is the header.  The column is converted in bulk,
+    ``float`` of each cell; only if a cell is missing, unparsable or not
+    finite does a second pass walk the lines to raise the first bad line's
+    ``DataError``.
+    """
+    lines = text.splitlines()
+    head = list(islice((line for line in lines if line.strip()), 10))
+    if not head:
+        raise DataError(f"{source}: no data lines found")
+    if any("," in line for line in head):
+        rows = [[c.strip() for c in next(csv.reader((line,)))] for line in lines if line.strip()]
+    else:
+        rows = [cells for cells in map(str.split, lines) if cells]
 
     header: list[str] | None = None
-    first_cells = parsed[0][1]
-    if not _all_numeric(first_cells):
-        header = first_cells
-        body = parsed[1:]
+    if not _all_numeric(rows[0]):
+        header, body = rows[0], rows[1:]
     else:
-        body = parsed
+        body = rows
 
     if isinstance(column, str):
         if header is None or column not in header:
@@ -84,8 +84,22 @@ def _parse_text(text: str, column, source: str, name: str) -> Dataset:
         col_idx = header.index(column)
     else:
         col_idx = int(column)
+    if not body:
+        raise DataError(f"{source}: no numeric rows in column {column!r}")
 
-    values = []
+    try:
+        values = np.array([float(cells[col_idx]) for cells in body])
+    except (IndexError, ValueError):
+        values = None
+    if values is None or not np.isfinite(values).all():
+        linenos = [i for i, line in enumerate(lines, start=1) if line.strip()]
+        _raise_first_bad(zip(linenos[len(rows) - len(body):], body), col_idx, source)
+    return Dataset(name=name, values=values, source=source)
+
+
+def _raise_first_bad(body, col_idx: int, source: str):
+    """Raise the ``DataError`` of the first (line number, cells) row whose
+    cell ``col_idx`` is missing, unparsable or not finite."""
     for lineno, cells in body:
         if col_idx >= len(cells):
             raise DataError(f"{source}, line {lineno}: no column {col_idx} ({len(cells)} cells)")
@@ -96,10 +110,6 @@ def _parse_text(text: str, column, source: str, name: str) -> Dataset:
             raise DataError(f"{source}, line {lineno}: could not parse {cell!r} as a number")
         if not math.isfinite(v):
             raise DataError(f"{source}, line {lineno}: non-finite value {cell!r}")
-        values.append(v)
-    if not values:
-        raise DataError(f"{source}: no numeric rows in column {column!r}")
-    return Dataset(name=name, values=np.asarray(values), source=source)
 
 
 def _all_numeric(cells: list[str]) -> bool:
@@ -114,8 +124,11 @@ def _all_numeric(cells: list[str]) -> bool:
 def load_dataset(path_or_fixture: str, column=0) -> Dataset:
     """Load a bundled fixture by id, or parse a single-column/CSV file.
 
-    ``column`` selects by header name (str) or 0-based index (int).
+    ``column`` selects by header name (str) or 0-based index (int); a
+    negative index raises ``UsageError``.
     """
+    if not isinstance(column, str) and int(column) < 0:
+        raise UsageError(f"column index must be >= 0, got {column}")
     if path_or_fixture in FIXTURES:
         filename, provenance = FIXTURES[path_or_fixture]
         text = resources.files("ddetest.data").joinpath(filename).read_text()

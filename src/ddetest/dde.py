@@ -127,6 +127,7 @@ def _dde_rows(fam: Family, rows: np.ndarray):
     ok = np.ones(h.shape, dtype=bool)
     ok[list(failures)] = False
     values = np.full(h.shape, np.nan)
+    # working[ok] is a copy, which _kde_entropy sorts in place
     values[ok] = ml[ok] - _kde_entropy(working[ok], h[ok], fam.support)
     return values, theta, (kappa0, h, c, shape), failures
 

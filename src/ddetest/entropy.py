@@ -15,8 +15,9 @@ Two estimators of -∫ f ln f dx (nats):
   adds less than e^(-C²/2) ≈ 2.6e-18) and, by an exact factoring of the
   kernel, shares its exps with the nodes of 16 or 8 neighbouring panels.
   ``_kde_entropy`` is the one KDE tail, for the rows of a (rows, n)
-  working-scale array: the range rule (``quadrature.range_bounds``), the
-  fixed rule and the ln-space shift.  ``de_kde`` is its one-row call, with
+  working-scale array: one sort of each row, the range rule
+  (``quadrature.range_bounds``) read from the sorted rows, the fixed rule
+  and the ln-space shift.  ``de_kde`` is its one-row call, with
   the checks of one sample; a test calls it once on the data and once per
   group of bootstrap replicates.
 
@@ -82,27 +83,29 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
                       upper: np.ndarray) -> np.ndarray:
     """-∫ f̂_r ln f̂_r over [lower_r, upper_r] for each row r of ``work``.
 
-    ``work`` is a (rows, n) array of working-scale samples and f̂_r the
-    Gaussian KDE of row r with bandwidth h[r].  Each range is cut into
-    ⌈W/2h⌉ equal panels, each integrated by the 10-point Gauss–Legendre
-    rule.  In bandwidth units node k of panel j sits at c_j + δ_k.  Panels
-    form blocks of S = 16 (8 at n > 2000); with r a block's middle panel,
-    e^(-(c_j + δ_k - x)²/2) = G_j(x) E_k(x) e^(-δ_k (c_j - c_r) - δ_k²/2)
-    exactly, for G_j = e^(-(c_j - x)²/2) and E_k = e^(-δ_k (c_r - x)).  So
-    a block's 10 S kernel sums are one (S, L) @ (L, 10) product G E over its
-    window of L samples, times the last factor: S + 10 exps per sample, not
-    10 S.  Both take x - c_r clipped to ±60: a sample that far out has
-    |c_j - x| ≥ 44, so its G is exactly 0, as is its term, and E cannot
-    overflow.  The window holds the sorted row's samples binned into the
-    panels within C = 9 bandwidths of the block (samples outside the range
-    count in the edge panels), its length rounded up the ladder ⌈2^(i/4)⌉ ≥
-    16 and capped at n, its start moved left where it would run past the
-    row's end.  Blocks of one window length are stacked, their windows cut
-    into chunks of _KDE_CHUNK samples whose products are added in order, in
-    one scratch buffer of ``KDE_BLOCK_BYTES`` (or one block's chunk, or one
-    row, if larger).  A product's rounding depends on its shape only, and
-    each shape and window on its row only, so a row's value is bit-identical
-    alone or with any other rows, under any buffer size and BLAS threads.
+    ``work`` is a (rows, n) array of working-scale samples, each row sorted
+    ascending, and f̂_r the Gaussian KDE of row r with bandwidth h[r].  The
+    rows are only divided by h > 0, which keeps them sorted: sorted(x)/h is
+    bitwise sorted(x/h).  Each range is cut into ⌈W/2h⌉ equal panels, each
+    integrated by the 10-point Gauss–Legendre rule.  In bandwidth units node
+    k of panel j sits at c_j + δ_k.  Panels form blocks of S = 16
+    (8 at n > 2000); with r a block's middle panel, e^(-(c_j + δ_k - x)²/2)
+    = G_j(x) E_k(x) e^(-δ_k (c_j - c_r) - δ_k²/2) exactly, for
+    G_j = e^(-(c_j - x)²/2) and E_k = e^(-δ_k (c_r - x)).  So a block's 10 S
+    kernel sums are one (S, L) @ (L, 10) product G E over its window of L
+    samples, times the last factor: S + 10 exps per sample, not 10 S.  Both
+    take x - c_r clipped to ±60: a sample that far out has |c_j - x| ≥ 44,
+    so its G is exactly 0, as is its term, and E cannot overflow.  The
+    window holds the sorted row's samples binned into the panels within C =
+    9 bandwidths of the block (samples outside the range count in the edge
+    panels), its length rounded up the ladder ⌈2^(i/4)⌉ ≥ 16 and capped at
+    n, its start moved left where it would run past the row's end.  Blocks
+    of one window length are stacked, their windows cut into chunks of
+    _KDE_CHUNK samples whose products are added in order, in one scratch
+    buffer of ``KDE_BLOCK_BYTES`` (or one block's chunk, or one row, if
+    larger).  A product's rounding depends on its shape only, and each shape
+    and window on its row only, so a row's value is bit-identical alone or
+    with any other rows, under any buffer size and BLAS threads.
 
     Each sample a window leaves out adds below e^(-C²/2) to the kernel sum,
     so g = h f̂ falls short by at most η = e^(-C²/2)/√(2π) ≈ 1.0e-18, and
@@ -127,7 +130,6 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     ref = (lower[block_row] + (2.0 * (local + slots // 2) + 1.0) * half[block_row]) / h[block_row]
     rel, delta = scale * offsets[:, None], scale * _GL_NODES[:, None]
     scaled = work / h[:, None]
-    scaled.sort(axis=1)
     if not np.isfinite(scaled[:, ::max(n - 1, 1)]).all():  # the first and last samples
         raise QuadratureError("KDE entropy integrand is not finite inside the range")
     chunk = min(_KDE_CHUNK, n)
@@ -199,10 +201,18 @@ def _kde_entropy(working: np.ndarray, h: np.ndarray, support: Support) -> np.nda
     with bandwidth h[r]: the range rule (``range_bounds``), the fixed rule
     (``_kde_entropy_rows``) and, on positive support, the ln-space shift
     mean(ln x).  Nothing checks the rows: each must be finite and vary.
+
+    ``working`` is sorted in place, once per row, after the shift is taken
+    from the rows as given (so its sum keeps their order and its bits); the
+    range rule and the fixed rule then read the sorted rows.  A caller
+    passes an array of its own: ``_dde_rows`` a copy made by its row mask,
+    ``de_kde`` a copy of the data.
     """
+    shift = working.mean(axis=1) if support is Support.POSITIVE else None
+    working.sort(axis=1)
     lower, upper = range_bounds(working, h)
     values = _kde_entropy_rows(working, h, lower, upper)
-    return values + working.mean(axis=1) if support is Support.POSITIVE else values
+    return values if shift is None else values + shift
 
 
 def de_kde(data, bw: BandwidthSpec) -> float:
@@ -229,7 +239,7 @@ def de_kde(data, bw: BandwidthSpec) -> float:
         raise SupportError("positive-support KDE requires strictly positive data")
     if data.size < 2:
         raise DegenerateDataError("need at least 2 observations for an integration range")
-    working = np.log(data) if positive else data
+    working = np.log(data) if positive else data.copy()  # _kde_entropy sorts it
     if np.min(working) == np.max(working):
         raise DegenerateDataError("all observations are identical")
     support = Support.POSITIVE if positive else Support.REAL
@@ -266,7 +276,7 @@ def kde_smoothing_bias(fitted: FittedModel, h: float, n: int, width: float) -> f
     gained by smoothing with the Gaussian kernel.  The last two terms are
     -½∫_R Var f̂ / f_h with Var f̂ ≈ (f_h ∫K²/h - f_h²)/n.  ``width`` is the
     width W of the range R that ``de_kde`` integrates over: upper - lower of
-    ``quadrature.range_bounds`` on the working-scale data.  n < 2 (as in
+    ``quadrature.range_bounds`` on the sorted working-scale data.  n < 2 (as in
     ``ml_entropy_bias``), and an h or width that is not finite and > 0,
     raise ``InvalidParameterError``.
 

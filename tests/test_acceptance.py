@@ -93,7 +93,7 @@ def test_criterion_2_ln_space_identity():
         h = 1.06 * y.std() * n ** -0.2
         # the identity is exact on matched domains wide enough that kernel
         # tails are fully integrated; q -/+ 12h puts truncation below 1e-30
-        work, hs = y[None, :], np.array([h])
+        work, hs = np.sort(y)[None, :], np.array([h])
         q_low, q_high = np.quantile(work, [0.001, 0.999], axis=1)
         ln_lower, ln_upper = q_low - 12.0 * hs, q_high + 12.0 * hs
         ln_value = float(_kde_entropy_rows(work, hs, ln_lower, ln_upper)[0]
@@ -169,7 +169,7 @@ def test_criterion_4_kde_bias_monte_carlo():
         bw = BandwidthSpec(h=h, c=1.06, k_n=1.0, n=n, scale=Scale.RAW,
                            shape=stats, regime=Regime.GAUSSIAN)
         errs[r] = d.de_kde(x, bw) - HALF_LN_2PIE
-        lower, upper = range_bounds(x, h)
+        lower, upper = range_bounds(np.sort(x), h)
         preds[r] = d.kde_smoothing_bias(null, h, n, upper - lower)
     predicted = float(preds.mean())
     se = errs.std(ddof=1) / math.sqrt(reps)

@@ -51,6 +51,15 @@ def test_support_violation_exit_code_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("column", ["-1", "-3"])
+def test_negative_column_exit_code_2(tmp_path, capsys, column):
+    p = tmp_path / "five.txt"
+    p.write_text("1 2 3\n4 5 6\n7 8 9\n1 1 2\n3 5 8\n")
+    code = run_cli(["entropy", "--data", str(p), "--column", column, "--family", "normal"])
+    assert code == 2
+    assert f"column index must be >= 0, got {column}" in capsys.readouterr().err
+
+
 def test_numeric_family_test_runs_and_writes_report(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run_cli(["test", "--family", "normal", "--data", FIXTURE,
@@ -151,7 +160,7 @@ def test_entropy_both_modes_match_the_library(null, tmp_path):
     data = load_dataset(FIXTURE).values
     fam, fitted = get_family(null), fit_mle(null, data)
     bw = select_bandwidth(fitted, data)
-    lower, upper = range_bounds(np.log(data) if bw.scale is Scale.LN else data, bw.h)
+    lower, upper = range_bounds(np.sort(np.log(data) if bw.scale is Scale.LN else data), bw.h)
     expected = {
         "ml": (closed_form_entropy(fitted),
                None if fam.ml_bias is None else ml_entropy_bias(fitted, fitted.n_fit)),

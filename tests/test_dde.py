@@ -562,3 +562,12 @@ def test_power_nondecreasing_in_n_under_fixed_wrong_null():
         rates.append(rejections / reps)
     se = math.sqrt(sum(r * (1 - r) for r in rates) / 40)
     assert rates[1] >= rates[0] - 2.0 * se
+
+
+@pytest.mark.parametrize("family", [FamilyId.NORMAL, FamilyId.GAMMA])
+def test_run_test_leaves_the_data_unchanged(family):
+    # the KDE sorts its rows in place, on copies of its own
+    data = load_dataset("faithful-hardle").values
+    kept = data.copy()
+    run_test(family, data, n_boot=8, seed=3)
+    assert data.tobytes() == kept.tobytes()

@@ -17,11 +17,12 @@ from ddetest import (
 from ddetest.bandwidth import BandwidthSpec, Regime, ShapeStats
 from ddetest.cli import main as cli_main
 from ddetest.entropy import (
-    _GL_NODES, _GL_WEIGHTS, _PANEL_BANDWIDTHS, _SQRT_2PI, _kde_entropy_rows,
+    _GL_NODES, _GL_WEIGHTS, _PANEL_BANDWIDTHS, _SQRT_2PI, _kde_entropy, _kde_entropy_rows,
 )
 from ddetest.errors import (
     DataError, DegenerateDataError, InvalidParameterError, QuadratureError, SupportError,
 )
+from ddetest.families import Support
 from ddetest.quadrature import Scale, range_bounds
 
 from oracles import DEFAULT_TOL, _de_ml_quadrature, integrate, kde_pdf
@@ -128,7 +129,7 @@ def test_change_of_variables_identity():
     # kernel tails are fully integrated
     y = np.log(data)
     h = bw.h
-    work, hs = y[None, :], np.array([h])
+    work, hs = np.sort(y)[None, :], np.array([h])
     q_low, q_high = np.quantile(work, [0.001, 0.999], axis=1)
     ln_lower, ln_upper = q_low - 12.0 * hs, q_high + 12.0 * hs
     est = float(_kde_entropy_rows(work, hs, ln_lower, ln_upper)[0] + work.mean(axis=1)[0])
@@ -210,13 +211,13 @@ def test_de_kde_refuses_bad_input(data, h, scale, error, message):
 
 
 def _kde_rows_case(n, tag):
-    """Five rows of n draws (normal, Cauchy, shifted normal, exponential,
-    Laplace) with mixed bandwidths and their entropy ranges."""
+    """Five sorted rows of n draws (normal, Cauchy, shifted normal,
+    exponential, Laplace) with mixed bandwidths and their entropy ranges."""
     rng = substream("kde-rows", tag, n)
-    work = np.vstack([
+    work = np.sort(np.vstack([
         rng.normal(0.0, 1.0, n), rng.standard_cauchy(n), rng.normal(10.0, 3.0, n),
         rng.exponential(1.0, n), rng.laplace(0.0, 2.0, n),
-    ])
+    ]), axis=1)
     h = np.array([0.3, 2.0, 0.9, 0.05, 1.5])
     lower, upper = range_bounds(work, h)
     return work, h, lower, upper
@@ -288,7 +289,7 @@ def test_kde_rows_bit_identical_across_blas_threads():
 def test_kde_rows_scratch_memory(rows, n, limit):
     # the kernel's scratch lives in one buffer of at most KDE_BLOCK_BYTES (or
     # one block's chunk, or one row), and its other arrays are per block
-    work = substream("kde-memory", rows, n).normal(0.0, 1.0, (rows, n))
+    work = np.sort(substream("kde-memory", rows, n).normal(0.0, 1.0, (rows, n)), axis=1)
     h = np.full(rows, 1.06 * n ** -0.2)
     lower, upper = range_bounds(work, h)
     tracemalloc.start()
@@ -336,29 +337,30 @@ def _kde_window_bound(h, lower, upper):
 def _window_case_ln20000():
     x = substream("kde-window", "n20000").lognormal(1.0, 0.5, 20_000)
     bw = select_bandwidth(fit_mle(FamilyId.GAMMA, x), x)
-    work, h = np.log(x)[None, :], np.array([bw.h])
+    work, h = np.sort(np.log(x))[None, :], np.array([bw.h])
     return (work, h) + range_bounds(work, h)
 
 
 def _window_case_outliers():
     # samples 3h and 30h beyond each end of the range fall in the edge bins
     rng = substream("kde-window", "outliers")
-    work, h = rng.normal(0.0, 1.0, (2, 500)), np.array([0.25, 0.6])
+    work, h = np.sort(rng.normal(0.0, 1.0, (2, 500)), axis=1), np.array([0.25, 0.6])
     lower, upper = range_bounds(work, h)
     work[:, :4] = np.column_stack([lower - 3 * h, lower - 30 * h, upper + 3 * h, upper + 30 * h])
+    work.sort(axis=1)
     return work, h, lower, upper
 
 
 def _window_case_cauchy():
     # ranges of hundreds of bandwidths whose tail panels have empty windows
-    work = substream("kde-window", "cauchy").standard_cauchy((3, 2000))
+    work = np.sort(substream("kde-window", "cauchy").standard_cauchy((3, 2000)), axis=1)
     h = np.array([0.2, 0.5, 1.0])
     return (work, h) + range_bounds(work, h)
 
 
 def _window_case_ties():
     # heavy ties: 2000 draws on 7 values
-    work = substream("kde-window", "ties").integers(0, 7, (2, 2000)).astype(float)
+    work = np.sort(substream("kde-window", "ties").integers(0, 7, (2, 2000)).astype(float), axis=1)
     h = np.array([0.05, 0.3])
     return (work, h) + range_bounds(work, h)
 
@@ -372,16 +374,17 @@ def _window_case_far_outliers():
     # samples 1e6 bandwidths beyond each end of the range fall in the edge
     # bins, so they share the window of the tail block
     rng = substream("kde-window", "far-outliers")
-    work, h = rng.normal(0.0, 1.0, (2, 3000)), np.array([0.2, 0.05])
+    work, h = np.sort(rng.normal(0.0, 1.0, (2, 3000)), axis=1), np.array([0.2, 0.05])
     lower, upper = range_bounds(work, h)
     work[:, 0], work[:, 1] = lower - 1e6 * h, upper + 1e6 * h
+    work.sort(axis=1)
     return work, h, lower, upper
 
 
 def _window_case_wide():
     # a range of 1e4 bandwidths: hundreds of blocks, whose ladder-rounded
     # windows in the sparse tails reach samples thousands of bandwidths away
-    work = substream("kde-window", "wide").standard_cauchy((1, 1000))
+    work = np.sort(substream("kde-window", "wide").standard_cauchy((1, 1000)), axis=1)
     q_low, q_high = np.quantile(work, [0.001, 0.999], axis=1)
     h = (q_high - q_low) / (1e4 - 10.0)
     return (work, h) + range_bounds(work, h)
@@ -402,6 +405,7 @@ def test_kde_rows_match_dense_oracle(case):
 def test_kde_rows_nonfinite_sample_is_quadrature_error(bad):
     work, h, lower, upper = _kde_rows_case(100, 3)
     work[2, 40] = bad
+    work.sort(axis=1)
     with pytest.raises(QuadratureError):
         _kde_entropy_rows(work, h, lower, upper)
 
@@ -417,7 +421,7 @@ def _de_kde_oracle(data, bw):
         t = np.exp(-0.5 * z * z).sum(axis=1) * norm
         return -xlogy(t, t)
 
-    return integrate(integrand, *range_bounds(working, bw.h), tol=1e-12) + shift
+    return integrate(integrand, *range_bounds(np.sort(working), bw.h), tol=1e-12) + shift
 
 
 @pytest.mark.parametrize("family,data_model", [
@@ -535,3 +539,28 @@ def test_integral_estimator_empirical_bias_characterization():
         errs[r] = de_kde(x, _bw(h, n)) - HALF_LN_2PIE
     se = errs.std(ddof=1) / math.sqrt(reps)
     assert abs(errs.mean() - 0.0646) < 4.0 * math.hypot(se, 0.0016)
+
+
+def test_kde_entropy_same_bits_on_any_permutation():
+    # _kde_entropy sorts each row itself; on positive support it adds the
+    # mean of the rows as given, taken before the sort
+    rng = substream("kde-perm")
+    x = np.vstack([rng.normal(0.0, 1.0, 300), np.round(rng.standard_cauchy(300), 1),
+                   rng.exponential(1.0, 300)])
+    h = np.array([0.3, 0.5, 0.2])
+    base = _kde_entropy(x.copy(), h, Support.REAL)
+    for _ in range(5):
+        perm = np.ascontiguousarray(x[:, rng.permutation(x.shape[1])])
+        assert _kde_entropy(perm.copy(), h, Support.REAL).tobytes() == base.tobytes()
+        shifted = _kde_entropy(perm.copy(), h, Support.POSITIVE)
+        assert shifted.tobytes() == (base + perm.mean(axis=1)).tobytes()
+    alone = [_kde_entropy(x[r:r + 1].copy(), h[r:r + 1], Support.REAL) for r in range(3)]
+    assert np.concatenate(alone).tobytes() == base.tobytes()
+
+
+@pytest.mark.parametrize("scale", [Scale.RAW, Scale.LN])
+def test_de_kde_leaves_the_data_unchanged(scale):
+    data = substream("kde-caller", scale.value).lognormal(0.0, 1.0, 500)
+    kept = data.copy()
+    de_kde(data, _bw(0.2, data.size, scale))
+    assert data.tobytes() == kept.tobytes()

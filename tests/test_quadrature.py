@@ -83,8 +83,8 @@ def test_entropy_range_degenerate_data():
 
 def test_entropy_range_translation_equivariant():
     data = substream("qrange", 0).normal(0.0, 1.0, 200)
-    base = range_bounds(data, 0.4)
-    shifted = range_bounds(data + 5.0, 0.4)
+    base = range_bounds(np.sort(data), 0.4)
+    shifted = range_bounds(np.sort(data + 5.0), 0.4)
     assert shifted[0] == pytest.approx(base[0] + 5.0, abs=1e-12)
     assert shifted[1] == pytest.approx(base[1] + 5.0, abs=1e-12)
 
@@ -103,6 +103,34 @@ def test_widening_range_multiple_is_immaterial():
 
     q_low, q_high = np.quantile(data, [0.001, 0.999])
     assert RANGE_BANDWIDTH_MULTIPLE == 5.0
-    v5 = integrate(integrand, *range_bounds(data, h), tol=1e-10)
+    v5 = integrate(integrand, *range_bounds(np.sort(data), h), tol=1e-10)
     v8 = integrate(integrand, q_low - 8.0 * h, q_high + 8.0 * h, tol=1e-10)
     assert abs(v5 - v8) < 1e-6
+
+
+def _range_rows(kind, rows, n, rng):
+    if kind == "cauchy":
+        return rng.standard_cauchy((rows, n))
+    if kind == "ties":
+        return np.round(rng.normal(0.0, 1.0, (rows, n)), 1)
+    x = rng.normal(0.0, 1.0, (rows, n))
+    x[:, rng.integers(0, n)] = np.inf
+    x[:, rng.integers(0, n)] = -np.inf
+    return x
+
+
+@pytest.mark.parametrize("kind", ["cauchy", "ties", "inf"])
+def test_range_bounds_on_sorted_rows_is_numpy_linear_quantile(kind):
+    # the order statistics of the sorted rows give np.quantile's bits
+    rng = substream("qrange", "sorted", kind)
+    for n in [4, 5, 7, 100, 999, 1000, 1001, 1002, 2345, 5000]:
+        rows = int(rng.integers(1, 9))
+        x, h = _range_rows(kind, rows, n, rng), rng.uniform(0.01, 2.0, rows)
+        with np.errstate(invalid="ignore"):  # inf - inf in the interpolation
+            lower, upper = range_bounds(np.sort(x, axis=1), h)
+            q_low, q_high = np.quantile(x, [0.001, 0.999], axis=1, method="linear")
+            assert lower.tobytes() == (q_low - RANGE_BANDWIDTH_MULTIPLE * h).tobytes()
+            assert upper.tobytes() == (q_high + RANGE_BANDWIDTH_MULTIPLE * h).tobytes()
+            one = range_bounds(np.sort(x[0]), h[0])
+        assert np.float64(one[0]).tobytes() == lower[:1].tobytes()
+        assert np.float64(one[1]).tobytes() == upper[:1].tobytes()
