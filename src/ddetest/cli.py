@@ -137,13 +137,22 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+# a config value is read as its flag's text, by the flag's own converter
+_CONFIG_TYPES = {"alpha": _alpha_type, "nboot": _positive_int, "seed": int,
+                 "threads": _positive_int}
+
+
 def _resolved(args, cfg: dict, name: str, default):
     value = getattr(args, name, None)
     if value is not None:
         return value
-    if name in cfg:
-        return cfg[name]
-    return default
+    value = cfg.get(name)
+    if value is None:
+        return default
+    try:  # a JSON true, 50.0 or [1] is refused, as the flag refuses "True", "50.0" or "[1]"
+        return _CONFIG_TYPES[name](str(value))
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise UsageError(f"config key {name!r}: invalid value {value!r} ({exc})") from None
 
 
 def _write(path: str, text: str):

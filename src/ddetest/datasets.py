@@ -54,26 +54,31 @@ def _parse_text(text: str, column, source: str, name: str) -> Dataset:
     """Parse one column of a whitespace- or comma-separated text file.
 
     Blank lines are skipped.  A file is comma-separated if one of its first
-    10 data lines holds a comma; each of its lines is read by its own
-    ``csv.reader``, so a quote left open ends with its line, and each cell
-    is stripped.  Other files split each line on whitespace.  A first line
-    that is not all numbers is the header.  The column is converted in bulk,
-    ``float`` of each cell; only if a cell is missing, unparsable or not
-    finite does a second pass walk the lines to raise the first bad line's
-    ``DataError``.
+    10 data lines holds a comma.  If it holds a ``"`` anywhere, each of its
+    lines is read by its own ``csv.reader``, so a quote left open ends with
+    its line, and each cell is stripped; otherwise each line is split on
+    commas, which is what the reader does with a line free of quotes, and
+    only the header and a bad line's cell are stripped (``float`` ignores
+    the spaces around a number).  Other files split each line on
+    whitespace.  A first line that is not all numbers is the header.  The
+    column is converted in bulk, ``float`` of each cell; only if a cell is
+    missing, unparsable or not finite does a second pass walk the lines to
+    raise the first bad line's ``DataError``.
     """
     lines = text.splitlines()
     head = list(islice((line for line in lines if line.strip()), 10))
     if not head:
         raise DataError(f"{source}: no data lines found")
-    if any("," in line for line in head):
+    if not any("," in line for line in head):
+        rows = [cells for cells in map(str.split, lines) if cells]
+    elif '"' in text:
         rows = [[c.strip() for c in next(csv.reader((line,)))] for line in lines if line.strip()]
     else:
-        rows = [cells for cells in map(str.split, lines) if cells]
+        rows = [line.split(",") for line in lines if line.strip()]
 
     header: list[str] | None = None
     if not _all_numeric(rows[0]):
-        header, body = rows[0], rows[1:]
+        header, body = [c.strip() for c in rows[0]], rows[1:]
     else:
         body = rows
 
@@ -103,7 +108,7 @@ def _raise_first_bad(body, col_idx: int, source: str):
     for lineno, cells in body:
         if col_idx >= len(cells):
             raise DataError(f"{source}, line {lineno}: no column {col_idx} ({len(cells)} cells)")
-        cell = cells[col_idx]
+        cell = cells[col_idx].strip()
         try:
             v = float(cell)
         except ValueError:
@@ -134,7 +139,7 @@ def load_dataset(path_or_fixture: str, column=0) -> Dataset:
         text = resources.files("ddetest.data").joinpath(filename).read_text()
         return _parse_text(text, column, provenance, path_or_fixture)
     try:
-        with open(path_or_fixture, "r", encoding="utf-8") as fh:
+        with open(path_or_fixture, "r", encoding="utf-8-sig") as fh:  # drops a byte-order mark
             text = fh.read()
     except OSError as exc:
         raise DataError(f"could not read {path_or_fixture!r}: {exc}") from exc

@@ -11,9 +11,13 @@ Two estimators of -∫ f ln f dx (nats):
   fixed rule, not an adaptive one: 10-point Gauss–Legendre on ⌈W/2h⌉
   equal panels of R (``_kde_entropy_rows``), within 1e-9 of the adaptive
   integral at tol 1e-12 on the testable nulls.  A node's kernel sum takes
-  the samples within C = 9 bandwidths of its panel (each one farther out
-  adds less than e^(-C²/2) ≈ 2.6e-18) and, by an exact factoring of the
-  kernel, shares its exps with the nodes of 16 or 8 neighbouring panels.
+  at least the samples within C = 9 bandwidths of its panel (each one
+  farther out adds less than e^(-C²/2) ≈ 2.6e-18).  Blocks of panels own
+  samples: each sample enters the block of panels it falls in, whose
+  slots reach C bandwidths past it on each side, and by an exact
+  factoring of the kernel a sample's exps are shared by all the block's
+  nodes (16 home panels per block, 4 above n = 2000, and a row of at most
+  16 or 8 panels is one block).
   ``_kde_entropy`` is the one KDE tail, for the rows of a (rows, n)
   working-scale array: one sort of each row, the range rule
   (``quadrature.range_bounds``) read from the sorted rows, the fixed rule
@@ -67,16 +71,24 @@ _PANEL_BANDWIDTHS = 2.0
 # A node's kernel sum takes the samples within _CUTOFF_BANDWIDTHS bandwidths
 # of its panel: a sample farther out adds a term below e^-40.5 ≈ 2.6e-18.
 _CUTOFF_BANDWIDTHS = 9.0
-# Window lengths are rounded up to ⌈2^(i/4)⌉, from 16, so that the panels of
-# a group fall into few lengths.
-_WINDOW_LENGTHS = np.unique(np.ceil(2.0 ** (np.arange(16, 4 * 48) / 4.0))).astype(np.intp)
-# Panels per block at n ≤ 2000 and above, samples per window chunk, clip on x - c_r
-_KDE_BLOCK_PANELS, _KDE_CHUNK, _KDE_CLIP_BANDWIDTHS = (16, 8), 4096, 60.0
-# per block size: 2 (j - r) for slot j, r = slots // 2, and -(2 (j - r) t_k + t_k²/2), t_k node k
-_KDE_OFFSETS = {s: 2.0 * (np.arange(s) - s // 2) for s in _KDE_BLOCK_PANELS}
-_KDE_SHIFTS = {s: -o[:, None] * _GL_NODES - 0.5 * _GL_NODES**2 for s, o in _KDE_OFFSETS.items()}
+# A block's home samples, when fewer than a chunk, are padded up to
+# ⌈2^(i/4)⌉, from 16, so that the blocks of a call fall into few shapes.
+_BLOCK_LENGTHS = np.unique(np.ceil(2.0 ** (np.arange(16, 4 * 48) / 4.0))).astype(np.intp)
+# At n ≤ 2000 and above: S, the slots of a row that is one block, and H,
+# the home panels of each block of a longer row
+_KDE_BLOCK_PANELS, _KDE_HOME_PANELS = (16, 8), (16, 4)
+# samples per chunk, clip on x - c_r
+_KDE_CHUNK, _KDE_CLIP_BANDWIDTHS = 4096, 60.0
+# -(2 o t_k + t_k²/2), t_k node k, per slot offset o = j - r in [-24, 24]
+# (the blocks' offsets lie in [-14, 19])
+_KDE_SHIFTS = -2.0 * np.arange(-24, 25)[:, None] * _GL_NODES - 0.5 * _GL_NODES**2
 # cap on the kernel block, and on the rows a caller batches
 KDE_BLOCK_BYTES = 1 << 20
+# the ufunc buffer, in elements, while the kernel runs: numpy copies the
+# operands of a broadcast through this buffer when the broadcast's inner
+# loop is shorter than a third of it, and at the default 8192 that made the
+# kernel's G and E broadcasts 3 to 4 times slower per value (numpy 2.4)
+_KDE_UFUNC_BUFFER = 128
 
 
 def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
@@ -88,28 +100,41 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     rows are only divided by h > 0, which keeps them sorted: sorted(x)/h is
     bitwise sorted(x/h).  Each range is cut into ⌈W/2h⌉ equal panels, each
     integrated by the 10-point Gauss–Legendre rule.  In bandwidth units node
-    k of panel j sits at c_j + δ_k.  Panels form blocks of S = 16
-    (8 at n > 2000); with r a block's middle panel, e^(-(c_j + δ_k - x)²/2)
-    = G_j(x) E_k(x) e^(-δ_k (c_j - c_r) - δ_k²/2) exactly, for
-    G_j = e^(-(c_j - x)²/2) and E_k = e^(-δ_k (c_r - x)).  So a block's 10 S
-    kernel sums are one (S, L) @ (L, 10) product G E over its window of L
-    samples, times the last factor: S + 10 exps per sample, not 10 S.  Both
-    take x - c_r clipped to ±60: a sample that far out has |c_j - x| ≥ 44,
-    so its G is exactly 0, as is its term, and E cannot overflow.  The
-    window holds the sorted row's samples binned into the panels within C =
-    9 bandwidths of the block (samples outside the range count in the edge
-    panels), its length rounded up the ladder ⌈2^(i/4)⌉ ≥ 16 and capped at
-    n, its start moved left where it would run past the row's end.  Blocks
-    of one window length are stacked, their windows cut into chunks of
-    _KDE_CHUNK samples whose products are added in order, in one scratch
-    buffer of ``KDE_BLOCK_BYTES`` (or one block's chunk, or one row, if
-    larger).  A product's rounding depends on its shape only, and each shape
-    and window on its row only, so a row's value is bit-identical alone or
-    with any other rows, under any buffer size and BLAS threads.
+    k of panel j sits at c_j + δ_k.
 
-    Each sample a window leaves out adds below e^(-C²/2) to the kernel sum,
-    so g = h f̂ falls short by at most η = e^(-C²/2)/√(2π) ≈ 1.0e-18, and
-    ∫ (-g ln g + g ln h) du over W/h bandwidths moves by at most (W/h) η
+    Blocks own samples.  A row of at most S = 16 panels (8 at n > 2000) is
+    one block, whose S slots are its panels.  A longer row is cut into
+    blocks of H = 16 home panels (4 at n > 2000); a block's slots are its
+    home panels and the k = ⌈C / width⌉ panels, C = 9 bandwidths, past them
+    on each side, clipped to the row.  A block's home samples are the sorted
+    row's samples binned into its home panels (samples outside the range
+    count in the edge panels), found by one ``searchsorted`` of the block
+    edges: each sample is in one block, and meets every node within C
+    bandwidths of its panel.  With r the block's middle panel,
+    e^(-(c_j + δ_k - x)²/2) = G_j(x) E_k(x) e^(-δ_k (c_j - c_r) - δ_k²/2)
+    exactly, for G_j = e^(-(c_j - x)²/2) and E_k = e^(-δ_k (c_r - x)).  So a
+    block's node sums are one (slots, L) @ (L, 10) product G E over its L
+    home samples, times the last factor: slots + 10 exps per sample.  The
+    products are added into the row's panels in block order.  Both factors
+    take x - c_r clipped to ±60, so E cannot overflow; |c_j - c_r| < 27, so
+    a sample that far out adds below e^-512 to any node (exactly 0 in a
+    one-block row, where |c_j - c_r| ≤ 16).
+
+    Fewer home samples than a chunk are padded up the ladder ⌈2^(i/4)⌉ ≥ 16
+    (capped at the chunk); the padding reads the samples that follow, and
+    its E is set to 0, so its terms are 0.  Blocks of one slot count and
+    padded length are stacked, their samples cut into chunks of _KDE_CHUNK
+    whose products are added in order, in one scratch buffer of
+    ``KDE_BLOCK_BYTES`` (or one block's chunk, or one row, if larger).  A
+    product's rounding depends on its shape only, and each shape, block and
+    order of sums on its row only, so a row's value is bit-identical alone
+    or with any other rows, under any buffer size and BLAS threads.  The
+    kernel runs with a ufunc buffer of _KDE_UFUNC_BUFFER elements (restored
+    on return), which changes the speed of its broadcasts but no value.
+
+    Each sample a node does not meet adds below e^(-C²/2) to its kernel
+    sum, so g = h f̂ falls short by at most η = e^(-C²/2)/√(2π) ≈ 1.0e-18,
+    and ∫ (-g ln g + g ln h) du over W/h bandwidths moves by at most (W/h) η
     (ln(1/η) + |ln h|): 4.3e-17 W/h at h near 1, 2.2e-15 at n = 20 000.
     With the rounding of the factors and the sums, the value is within
     (W/h) (η (ln(1/η) + |ln h|) + ε) of the full kernel sum, ε = 2^-52.
@@ -117,83 +142,117 @@ def _kde_entropy_rows(work: np.ndarray, h: np.ndarray, lower: np.ndarray,
     rows, n = work.shape
     if rows == 0:
         return np.zeros(0)
-    nodes, slots = _GL_NODES.size, _KDE_BLOCK_PANELS[n > 2000]
-    width = upper - lower
-    panels = np.ceil(width / (_PANEL_BANDWIDTHS * h)).astype(np.intp)
-    half = width / (2.0 * panels)
-    first, blocks = panels.cumsum() - panels, (panels + slots - 1) // slots
-    block_row, block_end = np.arange(rows).repeat(blocks), blocks.cumsum()
-    local = (np.arange(block_row.size) - (block_end - blocks)[block_row]) * slots
-    # in bandwidths: block centres c_r, offsets c_j - c_r = 2 (j - r) half/h and δ_k, samples
-    half_h, offsets, shifts = half / h, _KDE_OFFSETS[slots], _KDE_SHIFTS[slots]
-    scale = half_h[block_row, None, None]
-    ref = (lower[block_row] + (2.0 * (local + slots // 2) + 1.0) * half[block_row]) / h[block_row]
-    rel, delta = scale * offsets[:, None], scale * _GL_NODES[:, None]
-    scaled = work / h[:, None]
-    if not np.isfinite(scaled[:, ::max(n - 1, 1)]).all():  # the first and last samples
-        raise QuadratureError("KDE entropy integrand is not finite inside the range")
-    chunk = min(_KDE_CHUNK, n)
-    unit = chunk * (slots + nodes + 1) + slots * nodes  # one block's chunk scratch
-    buf = np.empty(max(n, unit * max(1, min(KDE_BLOCK_BYTES // (8 * unit), block_row.size))))
+    with np.errstate():  # restores the ufunc buffer size on return
+        np.setbufsize(_KDE_UFUNC_BUFFER)
+        nodes, large = _GL_NODES.size, n > 2000
+        slots, home = _KDE_BLOCK_PANELS[large], _KDE_HOME_PANELS[large]
+        width = upper - lower
+        panels = np.ceil(width / (_PANEL_BANDWIDTHS * h)).astype(np.intp)
+        half = width / (2.0 * panels)
+        first, half_h = panels.cumsum() - panels, half / h
+        per_h = 0.5 / half_h  # panels per bandwidth
+        one = panels <= slots
+        size = np.where(one, slots, home)  # home panels per block
+        # per block: its row, home panels, reach k, first home panel, middle
+        # panel r and slots, the first at panel low
+        blocks = -(-panels // size)
+        block_row, block_end = np.arange(rows).repeat(blocks), blocks.cumsum()
+        reach = np.ceil(_CUTOFF_BANDWIDTHS * per_h).astype(np.intp)[block_row]
+        size = size[block_row]
+        local = (np.arange(block_row.size) - (block_end - blocks)[block_row]) * size
+        anchor, low = local + size // 2, np.maximum(local - reach, 0)
+        count = np.minimum(local + size + reach, np.maximum(panels, slots)[block_row]) - low
+        most = int(count.max())
+        offset = (low - anchor)[:, None] + np.arange(most)  # o = j - r of slot t, j = low + t
 
-    # a block's window: the samples of its panels and k more each side, k = ⌈C / width⌉;
-    # edge holds its first and past-the-end panels' global indexes, then the samples before each
-    origin, per_h = lower / h, 0.5 / half_h  # panels per bandwidth
-    reach = np.ceil(_CUTOFF_BANDWIDTHS * per_h).astype(np.intp)[block_row]
-    row_first, row_panels = first[block_row], panels[block_row]
-    edge = row_first + np.array([np.maximum(local - reach, 0),
-                                 np.minimum(local + slots + reach, row_panels)])
-    for a in range(0, rows, buf.size // n):
-        b = min(a + buf.size // n, rows)
-        bins = buf[:(b - a) * n].reshape(b - a, n)
-        np.subtract(scaled[a:b], origin[a:b, None], out=bins)
-        bins *= per_h[a:b, None]
-        np.maximum(bins, 0.0, out=bins)
-        np.minimum(bins, panels[a:b, None] - 1, out=bins)
-        bins += (first[a:b] - first[a])[:, None]
-        # the bins ascend along the chunk: count those below each edge
-        chunk_edge = edge[:, block_end[a] - blocks[a]:block_end[b - 1]]
-        chunk_edge[...] = a * n + bins.ravel().searchsorted(chunk_edge - first[a])
-    start, stop = edge
-    size = np.minimum(_WINDOW_LENGTHS[_WINDOW_LENGTHS.searchsorted(stop - start)], n)
-    start = np.minimum(start, (block_row + 1) * n - size)[:, None]
+        # the samples in bandwidths, x / h, are formed where they are read
+        if not np.isfinite(work[:, ::max(n - 1, 1)] / h[:, None]).all():  # first and last
+            raise QuadratureError("KDE entropy integrand is not finite inside the range")
+        chunk = min(_KDE_CHUNK, n)
+        unit = chunk * (most + nodes + 1) + most * nodes  # one block's chunk scratch
+        buf = np.empty(max(n, unit * max(1, min(KDE_BLOCK_BYTES // (8 * unit), block_row.size))))
 
-    flat = scaled.ravel()
-    density = np.zeros((block_row.size, slots, nodes))  # the kernel sums G E
-    for length in sorted(set(size.tolist())):
-        group = (size == length).nonzero()[0]
-        for s in range(0, group.size, buf.size // unit):
-            pick = group[s:s + buf.size // unit]
-            m, c, r, d = pick.size, rel[pick], ref[pick, None], delta[pick]
-            for c0 in range(0, length, chunk):
-                k = min(chunk, length - c0)
-                x = buf[:m * k].reshape(m, k)
-                g = buf[m * k:m * k * (slots + 1)].reshape(m, slots, k)
-                ex = buf[m * k * (slots + 1):m * k * (slots + nodes + 1)].reshape(m, nodes, k)
-                flat.take(start[pick] + np.arange(c0, c0 + k), out=x, mode="clip")
-                np.subtract(x, r, out=x)
-                np.maximum(x, -_KDE_CLIP_BANDWIDTHS, out=x)
-                np.minimum(x, _KDE_CLIP_BANDWIDTHS, out=x)
-                np.subtract(c, x[:, None, :], out=g)  # G
-                g *= g
-                g *= -0.5
-                np.exp(g, out=g)
-                np.multiply(d, x[:, None, :], out=ex)  # E
-                np.exp(ex, out=ex)
-                part = buf[-m * slots * nodes:].reshape(m, slots, nodes)
-                density[pick] += np.matmul(g, ex.transpose(0, 2, 1), out=part)
-    # times e^(-δ_k (c_j - c_r) - δ_k²/2) and the kernel's 1/(n √(2π) h)
-    factor = np.exp(scale ** 2 * shifts)
-    density *= factor * (1.0 / (n * _SQRT_2PI * h))[block_row, None, None]
-    # f ln f: where f = 0 the factor, finite, is kept and multiplied by 0
-    integrand = np.log(density, out=factor, where=density > 0.0)
-    integrand *= density * -_GL_WEIGHTS
-    valid = np.arange(slots) < (row_panels - local)[:, None]  # not past a row's last panel
-    panel_value = np.add.reduce(integrand, axis=2) * valid
-    values = np.bincount(block_row, np.add.reduce(panel_value, axis=1) * half[block_row], rows)
-    if not np.isfinite(values).all():
-        raise QuadratureError("KDE entropy integrand is not finite inside the range")
-    return values
+        # a block's home samples start at the first sample binned into its
+        # first home panel; the bins ascend along each pass's rows
+        origin, start = lower / h, first[block_row] + local
+        for a in range(0, rows, buf.size // n):
+            b = min(a + buf.size // n, rows)
+            bins = buf[:(b - a) * n].reshape(b - a, n)
+            np.divide(work[a:b], h[a:b, None], out=bins)
+            bins -= origin[a:b, None]
+            bins *= per_h[a:b, None]
+            np.maximum(bins, 0.0, out=bins)
+            np.minimum(bins, panels[a:b, None] - 1, out=bins)
+            bins += (first[a:b] - first[a])[:, None]
+            these = slice(block_end[a] - blocks[a], block_end[b - 1])
+            start[these] = a * n + bins.ravel().searchsorted(start[these] - first[a])
+        stop = np.concatenate((start[1:], [rows * n]))
+        length = stop - start
+        padded = np.where(length < chunk, np.minimum(
+            _BLOCK_LENGTHS[_BLOCK_LENGTHS.searchsorted(length)], chunk), length)
+
+        # in bandwidths: block centres c_r, slot offsets c_j - c_r = 2 o half/h and δ_k
+        scale = half_h[block_row, None, None]
+        ref = (lower[block_row] + (2.0 * anchor + 1.0) * half[block_row]) / h[block_row]
+        rel, delta = scale * (2.0 * offset[:, :, None]), scale * _GL_NODES[:, None]
+        flat, density = work.ravel(), np.zeros((block_row.size, most, nodes))  # the sums G E
+        # blocks of one shape, (slots, padded length), are stacked; one
+        # without home samples adds nothing
+        shape = np.where(length > 0, count * (n + 1) + padded, -1)
+        short = length < padded
+        for key in sorted(set(shape.tolist()) - {-1}):
+            group, (s, span) = (shape == key).nonzero()[0], divmod(key, n + 1)
+            fit = buf.size // (min(chunk, span) * (s + nodes + 1) + s * nodes)
+            pad = short[group].any()
+            for g0 in range(0, group.size, fit):
+                pick = group[g0:g0 + fit]
+                m, c, r, d = pick.size, rel[pick, :s], ref[pick, None], delta[pick]
+                h_pick = h[block_row[pick], None]
+                begin, past = start[pick, None], stop[pick, None, None]
+                for c0 in range(0, span, chunk):
+                    k = min(chunk, span - c0)
+                    x = buf[:m * k].reshape(m, k)
+                    g = buf[m * k:m * k * (s + 1)].reshape(m, s, k)
+                    ex = buf[m * k * (s + 1):m * k * (s + nodes + 1)].reshape(m, nodes, k)
+                    at = begin + np.arange(c0, c0 + k)
+                    flat.take(at, out=x, mode="clip")
+                    np.divide(x, h_pick, out=x)
+                    np.subtract(x, r, out=x)
+                    np.maximum(x, -_KDE_CLIP_BANDWIDTHS, out=x)
+                    np.minimum(x, _KDE_CLIP_BANDWIDTHS, out=x)
+                    np.subtract(c, x[:, None, :], out=g)  # G
+                    g *= g
+                    g *= -0.5
+                    np.exp(g, out=g)
+                    np.multiply(d, x[:, None, :], out=ex)  # E
+                    np.exp(ex, out=ex)
+                    if pad:  # the padding's E, and so its terms, are 0
+                        np.copyto(ex, 0.0, where=at[:, None, :] >= past)
+                    part = buf[-m * s * nodes:].reshape(m, s, nodes)
+                    density[pick, :s] += np.matmul(g, ex.transpose(0, 2, 1), out=part)
+        # times e^(-δ_k (c_j - c_r) - δ_k²/2) and the kernel's 1/(n √(2π) h)
+        factor = np.exp(scale ** 2 * _KDE_SHIFTS[offset + 24])
+        density *= factor * (1.0 / (n * _SQRT_2PI * h))[block_row, None, None]
+        # a row's panels, in groups of S: a one-block row's are its slots; a
+        # longer row's blocks add their slots into its panels in block order
+        groups = -(-panels // slots)
+        group_row, group_first = np.arange(rows).repeat(groups), groups.cumsum() - groups
+        if not one.all():
+            live = np.arange(most) < count[:, None]
+            entry = (slots * group_first[block_row] + low)[:, None] + np.arange(most)
+            sums, density = density[live], np.zeros((group_row.size, slots, nodes))
+            np.add.at(density.reshape(-1, nodes), entry[live], sums)
+            factor = np.zeros_like(density)
+        # f ln f: where f = 0 the factor, finite, is kept and multiplied by 0
+        integrand = np.log(density, out=factor, where=density > 0.0)
+        integrand *= density * -_GL_WEIGHTS
+        group_panel = (np.arange(group_row.size) - group_first[group_row]) * slots
+        valid = np.arange(slots) < (panels[group_row] - group_panel)[:, None]  # in the row
+        panel_value = np.add.reduce(integrand, axis=2) * valid
+        values = np.bincount(group_row, np.add.reduce(panel_value, axis=1) * half[group_row], rows)
+        if not np.isfinite(values).all():
+            raise QuadratureError("KDE entropy integrand is not finite inside the range")
+        return values
 
 
 def _kde_entropy(working: np.ndarray, h: np.ndarray, support: Support) -> np.ndarray:

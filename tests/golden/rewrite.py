@@ -16,18 +16,22 @@ bound lets rounding differ across hosts' SIMD paths; it is 13 times the
 largest shift a change has declared so far (7.5e-14 relative).
 
 Run ``PYTHONPATH=src python tests/golden/rewrite.py`` from the repository
-root to rewrite the corpus; it prints the largest shift of each file.
+root to rewrite the corpus; it prints the largest shift of each file.  With
+``--check`` it generates the corpus in a temporary directory instead, prints
+the same lines against the checked-in files and writes nothing.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import os
 import sys
+import tempfile
 
-from ddetest.cli import main
+from ddetest.cli import main as ddetest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 NULLS = ("normal", "exponential", "gamma", "laplace", "lognormal", "gengamma")
@@ -45,16 +49,17 @@ def generate(out_dir: str, threads: int = 1, nulls=NULLS, simulate: bool = True)
     with contextlib.redirect_stdout(io.StringIO()):
         for null in nulls:
             name = f"{null}.json"
-            code = main(["test", "--family", null, "--data", "faithful-hardle", "--nboot", "200",
-                         "--seed", "7", "--threads", str(threads),
-                         "--out", os.path.join(out_dir, name)])
+            code = ddetest(["test", "--family", null, "--data", "faithful-hardle",
+                            "--nboot", "200", "--seed", "7", "--threads", str(threads),
+                            "--out", os.path.join(out_dir, name)])
             if code != 0:
                 raise RuntimeError(f"ddetest test --family {null} exited {code}")
             written.append(name)
         if simulate:
-            code = main(["simulate", "--null", "normal", "--alt", "laplace(0,0.7071)",
-                         "--n", "50,100", "--reps", "20", "--nboot", "50", "--seed", "3",
-                         "--threads", str(threads), "--out", os.path.join(out_dir, "simulate")])
+            code = ddetest(["simulate", "--null", "normal", "--alt", "laplace(0,0.7071)",
+                            "--n", "50,100", "--reps", "20", "--nboot", "50", "--seed", "3",
+                            "--threads", str(threads),
+                            "--out", os.path.join(out_dir, "simulate")])
             if code != 0:
                 raise RuntimeError(f"ddetest simulate exited {code}")
             written.extend(SIMULATE)
@@ -115,26 +120,51 @@ def compare(name: str, expected: str, actual: str) -> tuple[list[str], float]:
     return problems, worst
 
 
-def rewrite() -> int:
-    """Rewrite the corpus in place and print each file's largest shift."""
-    old = {}
+def _read(directory: str) -> dict[str, str]:
+    texts = {}
     for name in FILES:
-        path = os.path.join(HERE, name)
+        path = os.path.join(directory, name)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as fh:
-                old[name] = fh.read()
-    generate(HERE)
+                texts[name] = fh.read()
+    return texts
+
+
+def report(old: dict[str, str], new: dict[str, str]) -> int:
+    """Print, for each corpus file, how ``new`` differs from ``old``: new,
+    byte-identical, or its largest float shift and the leaves that
+    disagree.  Returns the number of files with such leaves."""
+    failing = 0
     for name in FILES:
-        with open(os.path.join(HERE, name), encoding="utf-8") as fh:
-            new = fh.read()
         if name not in old:
             print(f"{name}: new")
             continue
-        problems, worst = compare(name, old[name], new)
-        same = "byte-identical" if old[name] == new else f"largest float shift {worst:.3g} relative"
-        print(f"{name}: {same}" + "".join(f"\n  {p}" for p in problems))
+        problems, worst = compare(name, old[name], new[name])
+        if old[name] == new[name]:
+            print(f"{name}: byte-identical")
+        else:
+            print(f"{name}: largest float shift {worst:.3g} relative"
+                  + "".join(f"\n  {p}" for p in problems))
+        failing += bool(problems)
+    return failing
+
+
+def main(argv=None) -> int:
+    """Rewrite the corpus in place, or with ``--check`` compare a fresh
+    copy with it; print each file's largest shift."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="generate into a temporary directory and write nothing")
+    args = parser.parse_args(argv)
+    old = _read(HERE)
+    if args.check:
+        with tempfile.TemporaryDirectory() as out:
+            generate(out)
+            return 1 if report(old, _read(out)) else 0
+    generate(HERE)
+    report(old, _read(HERE))
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(rewrite())
+    sys.exit(main())

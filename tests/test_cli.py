@@ -204,6 +204,33 @@ def test_config_file_supplies_defaults(tmp_path):
     assert doc["config"]["seed"] == 99
 
 
+@pytest.mark.parametrize("command", ["test", "simulate"])
+@pytest.mark.parametrize("key,value", [
+    ("nboot", 50.0), ("nboot", True), ("nboot", 0), ("nboot", "many"),
+    ("alpha", "0.1x"), ("alpha", True), ("alpha", 1.5),
+    ("seed", "abc"), ("seed", True), ("seed", 7.5),
+    ("threads", 0), ("threads", False),
+])
+def test_config_values_are_checked_like_their_flags(tmp_path, capsys, command, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    args = (["test", "--family", "normal", "--data", FIXTURE] if command == "test" else
+            ["simulate", "--null", "normal", "--alt", "laplace(0,1)", "--n", "20", "--reps", "1",
+             "--out", str(tmp_path / "sim")])
+    assert main(args + ["--config", str(cfg)]) == 2
+    assert f"config key {key!r}: invalid value {value!r}" in capsys.readouterr().err
+
+
+def test_config_text_values_read_as_their_flags_read_them(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"nboot": "21", "alpha": "0.1", "seed": "99"}))
+    out = tmp_path / "r.json"
+    assert main(["test", "--family", "normal", "--data", FIXTURE, "--config", str(cfg),
+                 "--threads", "1", "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["nboot"], config["alpha"], config["seed"]) == (21, 0.1, 99)
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "ddetest.cli", "--version"],

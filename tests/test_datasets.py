@@ -126,6 +126,54 @@ def test_parsed_values_are_float_of_each_cell(delimiter):
     assert values.tobytes() == expected.tobytes()
 
 
+def test_byte_order_mark_is_not_data(tmp_path):
+    # a headerless "CSV UTF-8" file keeps its first value
+    values = [79.0, 54.0, 74.0, 62.0, 85.0, 55.0, 88.0, 85.0, 51.0, 85.0]
+    p = tmp_path / "bom.csv"
+    p.write_text("\ufeff" + "".join(f"{v:g}\n" for v in values), encoding="utf-8")
+    ds = load_dataset(str(p))
+    assert ds.n == 10 and ds.values.tolist() == values
+
+
+def test_byte_order_mark_before_a_header(tmp_path):
+    p = tmp_path / "bom.csv"
+    p.write_text("\ufeffx,y\n1,2\n3,4\n", encoding="utf-8")
+    assert load_dataset(str(p), column="x").values.tolist() == [1.0, 3.0]
+
+
+_COMMA_FILES = [  # (quote-free, the same cells quoted)
+    ("id, value\n1, 2.5\n\n2,3.5 \n3 ,-0.0\n",
+     '"id"," value"\n"1"," 2.5"\n\n"2","3.5 "\n"3 ","-0.0"\n'),
+    ("1,2.5\n2,1e-320\n", '"1","2.5"\n"2","1e-320"\n'),
+]
+
+
+@pytest.mark.parametrize("plain, quoted", _COMMA_FILES)
+@pytest.mark.parametrize("column", [0, 1])
+def test_quote_free_comma_file_parses_as_its_quoted_copy(plain, quoted, column):
+    a, b = (_parse_text(text, column, "src", "name") for text in (plain, quoted))
+    assert (a.name, a.source) == (b.name, b.source)
+    assert a.values.tobytes() == b.values.tobytes()
+    if plain.startswith("id"):
+        assert _parse_text(plain, "value", "src", "name").values.tobytes() == \
+            _parse_text(quoted, "value", "src", "name").values.tobytes()
+
+
+@pytest.mark.parametrize("plain, quoted, column", [
+    ("id,value\n1,2\n2, x y \n", '"id","value"\n"1","2"\n"2"," x y "\n', "value"),
+    ("1,2\n3\n", '"1","2"\n"3"\n', 1),
+    ("1,2\n3, inf\n", '"1","2"\n"3"," inf"\n', 1),
+    ("a,b\n1,2\n", '"a","b"\n"1","2"\n', "c"),
+])
+def test_quote_free_comma_file_fails_as_its_quoted_copy(plain, quoted, column):
+    messages = []
+    for text in (plain, quoted):
+        with pytest.raises(DataError) as info:
+            _parse_text(text, column, "src", "name")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
 @pytest.mark.parametrize("column", [-1, -3])
 def test_negative_column_is_usage_error(tmp_path, column):
     # an index counts from the first column; -1 does not mean the last one

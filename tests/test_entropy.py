@@ -390,15 +390,62 @@ def _window_case_wide():
     return (work, h) + range_bounds(work, h)
 
 
+def _window_case_mixed_n5000():
+    # rows of several blocks at n = 5000: lognormal (ln scale) and Laplace
+    # draws with their nulls' bandwidths, 22 to 30 panels and a reach of 5
+    # panels, and a normal row whose h gives 9 panels, a reach of 6 and a
+    # last block of one panel
+    rng = substream("kde-window", "mixed-n5000")
+    x, y = rng.lognormal(1.0, 0.5, (3, 5000)), rng.laplace(0.0, 1.0, (3, 5000))
+    work = np.sort(np.vstack([np.log(x), y, rng.normal(0.0, 1.0, (1, 5000))]), axis=1)
+    q_low, q_high = np.quantile(work[-1], [0.001, 0.999])
+    h = np.array([select_bandwidth(fit_mle(FamilyId.GAMMA, r), r).h for r in x]
+                 + [select_bandwidth(fit_mle(FamilyId.LAPLACE, r), r).h for r in y]
+                 + [(q_high - q_low) / 6.1])
+    return (work, h) + range_bounds(work, h)
+
+
+def _window_case_faithful_laplace():
+    # faithful-sized Laplace rows of 17 to 22 panels: a block of 16 home
+    # panels, then a last block of 1 to 6
+    rows = [substream("kde-window", "faithful-laplace", i).laplace(0.0, 1.0, 272)
+            for i in (5, 15, 2, 37, 6, 4)]
+    h = np.array([select_bandwidth(fit_mle(FamilyId.LAPLACE, x), x).h for x in rows])
+    work = np.sort(np.array(rows), axis=1)
+    lower, upper = range_bounds(work, h)
+    assert sorted(np.ceil((upper - lower) / (2.0 * h)).tolist()) == list(range(17, 23))
+    return work, h, lower, upper
+
+
 @pytest.mark.parametrize("case", [
     _window_case_ln20000, _window_case_outliers, _window_case_cauchy, _window_case_ties,
     _window_case_n5, _window_case_far_outliers, _window_case_wide,
+    _window_case_mixed_n5000, _window_case_faithful_laplace,
 ])
 def test_kde_rows_match_dense_oracle(case):
     work, h, lower, upper = case()
     windowed = _kde_entropy_rows(work, h, lower, upper)
     dense = _dense_kde_entropy_rows(work, h, lower, upper)
     assert np.all(np.abs(windowed - dense) <= _kde_window_bound(h, lower, upper))
+
+
+def test_kde_rows_of_several_blocks_bit_identical_alone_or_in_any_chunk():
+    work, h, lower, upper = _window_case_mixed_n5000()
+    full = _kde_entropy_rows(work, h, lower, upper)
+    for a in range(work.shape[0]):
+        for b in range(a + 1, work.shape[0] + 1):
+            part = _kde_entropy_rows(work[a:b].copy(), h[a:b], lower[a:b], upper[a:b])
+            assert part.tobytes() == full[a:b].tobytes(), (a, b)
+
+
+def test_kde_rows_of_several_blocks_bit_identical_across_kernel_blocks(monkeypatch):
+    import ddetest.entropy as entropy_mod
+
+    work, h, lower, upper = _window_case_mixed_n5000()
+    full = _kde_entropy_rows(work, h, lower, upper)
+    for cap in (8 * 100, 8 * 100 * 7, 8 * 100 * 64):
+        monkeypatch.setattr(entropy_mod, "KDE_BLOCK_BYTES", cap)
+        assert _kde_entropy_rows(work, h, lower, upper).tobytes() == full.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
